@@ -14,9 +14,7 @@ from .binomials import (
     MonomialOrder,
     Var,
     aux_var,
-    compare_vars,
     generators,
-    initial_term,
     inner_minor,
     point_var,
 )
@@ -26,8 +24,6 @@ from .geometry import (
     Interval,
     Point,
     Polyomino,
-    anti_diagonal_corners,
-    boundary,
     border_cells,
     cell_interval,
     complement,
@@ -46,7 +42,6 @@ from .groebner import (
     DegreeCapExceeded,
     GroebnerBasis,
     buchberger,
-    elimination_order,
     ideal_equal,
     ideal_membership,
     quadratic_gb_condition,
@@ -88,7 +83,6 @@ from .documents import (
     ParseError,
     PolyominoDocument,
     parse_document,
-    parse_polyomino,
     render_ascii,
     serialize_document,
 )

@@ -7,7 +7,7 @@ level, and all results are independent of the coefficient field.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .geometry import CellCollection, Interval, Point, inner_intervals
 
@@ -15,7 +15,6 @@ __all__ = [
     "Var",
     "point_var",
     "aux_var",
-    "compare_vars",
     "Monomial",
     "ONE",
     "MonomialOrder",
@@ -23,7 +22,6 @@ __all__ = [
     "Binomial",
     "inner_minor",
     "generators",
-    "initial_term",
 ]
 
 POINT_RANK = 0
@@ -63,13 +61,6 @@ def point_var(p: Point | tuple[int, int]) -> Var:
 
 def aux_var(label: str, index: int) -> Var:
     return Var(AUX_RANK, (label, index))
-
-
-def compare_vars(a: Var, b: Var) -> int:
-    """Three-way comparison in the variable order; positive when a > b."""
-    if a == b:
-        return 0
-    return 1 if a > b else -1
 
 
 class Monomial:
@@ -180,34 +171,27 @@ ONE = Monomial(())
 
 
 class MonomialOrder:
-    """Lexicographic monomial order induced by a total key on variables.
+    """Lexicographic monomial order on the variable order itself.
 
-    The default key is the variable itself, so auxiliary variables are
-    eliminated first and point variables compare by (i, j); this single
-    order serves both as the base lex order and as an elimination order
-    for the auxiliary block.
+    Auxiliary variables rank above point variables and point variables
+    compare by (i, j), so this single order serves both as the base lex
+    order and as an elimination order for the auxiliary block.
     """
 
-    __slots__ = ("tag", "_var_key")
+    __slots__ = ("tag",)
 
-    def __init__(self, tag: str, var_key: Callable[[Var], tuple] | None = None) -> None:
+    def __init__(self, tag: str) -> None:
         self.tag = tag
-        self._var_key = var_key
 
     def __setattr__(self, name: str, value: object) -> None:
-        if name in ("tag", "_var_key") and not hasattr(self, name):
+        if name == "tag" and not hasattr(self, name):
             object.__setattr__(self, name, value)
         else:
             raise AttributeError("MonomialOrder is immutable")
 
     def key(self, m: Monomial) -> tuple:
         """Tuple whose lexicographic comparison realizes the monomial order."""
-        if self._var_key is None:
-            return m.exps
-        vk = self._var_key
-        return tuple(
-            sorted(((vk(v), e) for v, e in m.exps), key=lambda p: p[0], reverse=True)
-        )
+        return m.exps
 
     def cmp(self, a: Monomial, b: Monomial) -> int:
         ka, kb = self.key(a), self.key(b)
@@ -300,8 +284,3 @@ def inner_minor(interval: Interval) -> Binomial:
 def generators(collection: CellCollection) -> tuple[Binomial, ...]:
     """Inner 2-minors of the collection in canonical interval order."""
     return tuple(inner_minor(iv) for iv in inner_intervals(collection))
-
-
-def initial_term(f: Binomial, order: MonomialOrder = LEX) -> Monomial:
-    """The order-larger side of the binomial."""
-    return f.oriented(order).plus

@@ -22,7 +22,6 @@ __all__ = [
     "ParseError",
     "PolyominoDocument",
     "parse_document",
-    "parse_polyomino",
     "serialize_document",
     "render_ascii",
 ]
@@ -104,11 +103,6 @@ def parse_document(text: str) -> PolyominoDocument:
         c = sorted(overlap)[0]
         raise ParseError(len(text.splitlines()), f"{c!r} declared both cell and hole")
     return PolyominoDocument(name, tuple(sorted(cells)), bounding, tuple(sorted(holes)))
-
-
-def parse_polyomino(text: str) -> CellCollection:
-    """The cell collection of a document; layout metadata is dropped."""
-    return parse_document(text).collection()
 
 
 def serialize_document(doc: PolyominoDocument) -> str:

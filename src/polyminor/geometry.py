@@ -21,14 +21,12 @@ __all__ = [
     "CellCollection",
     "Polyomino",
     "componentwise_less",
-    "anti_diagonal_corners",
     "cell_interval",
     "is_polyomino",
     "is_row_convex",
     "is_column_convex",
     "is_convex",
     "free_edges",
-    "boundary",
     "border_cells",
     "is_simple",
     "complement",
@@ -152,11 +150,6 @@ class Interval:
 
     def __repr__(self) -> str:
         return f"[{self.lower_left},{self.upper_right}]"
-
-
-def anti_diagonal_corners(interval: Interval) -> tuple[Point, Point]:
-    """Anti-diagonal corner pair of an interval, upper-left corner first."""
-    return interval.anti_diagonal_corners
 
 
 class CellCollection:
@@ -313,11 +306,6 @@ def free_edges(collection: CellCollection) -> frozenset[Edge]:
         for e in c.edges:
             count[e] = count.get(e, 0) + 1
     return frozenset(e for e, n in count.items() if n == 1)
-
-
-def boundary(collection: CellCollection) -> frozenset[Edge]:
-    """The union of all free edges."""
-    return free_edges(collection)
 
 
 def border_cells(collection: CellCollection) -> tuple[Cell, ...]:

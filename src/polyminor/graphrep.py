@@ -9,9 +9,10 @@ four endpoint vertices on its diagonal to equal the multiset on its
 anti-diagonal, which turns the search into a finite constraint problem:
 unit propagation assigns forced edges, branching enumerates the few edge
 candidates a partially assigned constraint leaves open, and fresh
-vertices are introduced one representative at a time.  Complete
-labelings are accepted only after the kernel ideal is verified to equal
-the minor ideal exactly.
+vertices are introduced one representative at a time.  Vertex names
+carry no meaning, so one seed assignment of one minor stands for every
+renaming of it.  Complete labelings are accepted only after the kernel
+ideal is verified to equal the minor ideal exactly.
 """
 
 from __future__ import annotations
@@ -191,13 +192,38 @@ def _subtract(total: Iterable[int], part: Iterable[int]) -> list[int] | None:
     return rest
 
 
-def _difference(total: Iterable[int], part: Iterable[int]) -> list[int]:
-    """Multiset difference, silently dropping elements missing from total."""
-    rest = list(total)
-    for x in part:
-        if x in rest:
-            rest.remove(x)
-    return rest
+def _complete(
+    con: Constraint, assignment: dict[Var, GEdge], used: dict[GEdge, Var]
+) -> tuple[Var | None, GEdge | None, str | None] | None:
+    """What the constraint says once at most one of its slots is open.
+
+    None while two or more slots are open.  Otherwise (open slot, edge,
+    reason): the slot is None when all four are assigned, the edge is the
+    one the multiset equation forces on the open slot, and the reason,
+    None when the constraint can hold, says why it cannot.
+    """
+    vals = [assignment.get(s) for s in con.slots]
+    missing = [k for k, val in enumerate(vals) if val is None]
+    if len(missing) > 1:
+        return None
+    if not missing:
+        if _multiset(vals[0], vals[1]) != _multiset(vals[2], vals[3]):
+            return None, None, "violated"
+        return None, None, None
+    k = missing[0]
+    hole_var = con.slots[k]
+    if k < 2:
+        rest = _subtract(_multiset(vals[2], vals[3]), vals[1 - k])
+    else:
+        rest = _subtract(_multiset(vals[0], vals[1]), vals[5 - k])
+    if rest is None:
+        return hole_var, None, "admits no completion"
+    edge = _mkedge(rest[0], rest[1])
+    if edge[0] == edge[1]:
+        return hole_var, None, f"forces a loop on {hole_var}"
+    if edge in used:
+        return hole_var, edge, f"forces {hole_var} onto the edge of {used[edge]}"
+    return hole_var, edge, None
 
 
 class _Search:
@@ -238,58 +264,22 @@ class _Search:
         while changed:
             changed = False
             for con in self.constraints:
-                vals = [assignment.get(s) for s in con.slots]
-                missing = [k for k, val in enumerate(vals) if val is None]
-                if len(missing) > 1:
+                step = _complete(con, assignment, used)
+                if step is None:
                     continue
-                if not missing:
-                    if _multiset(vals[0], vals[1]) != _multiset(vals[2], vals[3]):
-                        self.log(
-                            "conflict",
-                            f"minor {con.index} violated",
-                            depth,
-                            assignment=self.snapshot(assignment),
-                        )
-                        return False
-                    continue
-                k = missing[0]
-                hole_var = con.slots[k]
-                if k < 2:
-                    total = _multiset(vals[2], vals[3])
-                    partner = vals[1 - k]
-                else:
-                    total = _multiset(vals[0], vals[1])
-                    partner = vals[5 - k]
-                rest = _subtract(total, partner)
-                if rest is None:
+                hole_var, edge, reason = step
+                if reason is not None:
                     self.log(
                         "conflict",
-                        f"minor {con.index} admits no completion",
-                        depth,
-                        var=hole_var,
-                        assignment=self.snapshot(assignment),
-                    )
-                    return False
-                edge = _mkedge(rest[0], rest[1])
-                if edge[0] == edge[1]:
-                    self.log(
-                        "conflict",
-                        f"minor {con.index} forces a loop on {hole_var}",
-                        depth,
-                        var=hole_var,
-                        assignment=self.snapshot(assignment),
-                    )
-                    return False
-                if edge in used:
-                    self.log(
-                        "conflict",
-                        f"minor {con.index} forces {hole_var} onto the edge of {used[edge]}",
+                        f"minor {con.index} {reason}",
                         depth,
                         var=hole_var,
                         edge=edge,
                         assignment=self.snapshot(assignment),
                     )
                     return False
+                if hole_var is None:
+                    continue
                 assignment[hole_var] = edge
                 used[edge] = hole_var
                 self.log("force", f"forced by minor {con.index}", depth,
@@ -302,31 +292,18 @@ class _Search:
     def _viable(
         self, v: Var, e: GEdge, assignment: dict[Var, GEdge], used: dict[GEdge, Var]
     ) -> bool:
-        for con in self.by_var[v]:
-            vals = {s: assignment.get(s) for s in con.slots}
-            vals[v] = e
-            missing = [s for s in con.slots if vals[s] is None]
-            if len(missing) > 1:
-                continue
-            l1, l2 = con.left
-            r1, r2 = con.right
-            if not missing:
-                if _multiset(vals[l1], vals[l2]) != _multiset(vals[r1], vals[r2]):
+        """Whether giving v the edge e leaves every constraint of v satisfiable."""
+        assignment[v] = e
+        used[e] = v
+        try:
+            for con in self.by_var[v]:
+                step = _complete(con, assignment, used)
+                if step is not None and step[2] is not None:
                     return False
-                continue
-            hole = missing[0]
-            own, other = con.side_of(hole)
-            partner = own[0] if own[1] == hole else own[1]
-            total = _multiset(vals[other[0]], vals[other[1]])
-            rest = _subtract(total, vals[partner])
-            if rest is None:
-                return False
-            forced = _mkedge(rest[0], rest[1])
-            if forced[0] == forced[1]:
-                return False
-            if forced == e or (forced in used and used[forced] != hole):
-                return False
-        return True
+            return True
+        finally:
+            del assignment[v]
+            del used[e]
 
     def _constraint_candidates(
         self,
@@ -335,19 +312,17 @@ class _Search:
         assignment: dict[Var, GEdge],
         next_vertex: int,
     ) -> list[GEdge] | None:
-        """Finite superset of edges v may take under this constraint, or None."""
+        """Finite superset of edges v may take under this constraint, or None.
+
+        Runs after propagation has reached its fixpoint, so v is never the
+        only open slot of the constraint.
+        """
         own, other = con.side_of(v)
         partner = own[0] if own[1] == v else own[1]
         pe = assignment.get(partner)
         o1, o2 = assignment.get(other[0]), assignment.get(other[1])
         if o1 is not None and o2 is not None:
             total = _multiset(o1, o2)
-            if pe is not None:
-                rest = _subtract(total, pe)
-                if rest is None:
-                    return []
-                e = _mkedge(rest[0], rest[1])
-                return [] if e[0] == e[1] else [e]
             out = set()
             for a in range(4):
                 for b in range(a + 1, 4):
@@ -360,11 +335,10 @@ class _Search:
             return sorted(out)
         if pe is not None and (o1 is not None) != (o2 is not None):
             oe = o1 if o1 is not None else o2
-            # elements of the assigned opposite edge not covered by the partner
-            need = _difference(oe, pe)
+            # endpoints of the assigned opposite edge not covered by the partner
+            need = [u for u in oe if u not in pe]
             if len(need) == 2:
-                e = _mkedge(need[0], need[1])
-                return [] if e[0] == e[1] else [e]
+                return [oe]
             if len(need) == 1:
                 d = need[0]
                 out = {
@@ -511,12 +485,8 @@ class _Search:
         return None
 
 
-_SEED_CASES = (
-    ((0, 1), (2, 3), (0, 2), (1, 3)),
-    ((0, 1), (2, 3), (0, 3), (1, 2)),
-    ((0, 1), (2, 3), (1, 2), (0, 3)),
-    ((0, 1), (2, 3), (1, 3), (0, 2)),
-)
+# Diagonal, then anti-diagonal edges of the seed minor (see search_labeling).
+_SEED_EDGES = ((0, 1), (2, 3), (0, 2), (1, 3))
 
 
 def search_labeling(
@@ -528,13 +498,20 @@ def search_labeling(
 ) -> RepVerdict:
     """Exhaustive search for a representing edge labeling.
 
-    The first minor constraint is seeded with the four ways of matching
-    its diagonal edges against its anti-diagonal edges; the remaining
-    three are relabelings of the first, so they are explored only when
-    case one is refuted.  Fresh vertices enter one representative at a
-    time and never exceed max_vertices, which defaults to twice the
-    number of lattice points, enough for any representable instance; an
-    exhausted search is therefore a proof of non-representability.
+    The search starts from one seed minor, the one whose slots sit in
+    the most constraints.  Its diagonal edges share no vertex, since two
+    edges through a common vertex leave no pair of distinct loop-free
+    edges with the same endpoint multiset, so up to renaming they are
+    (0, 1) and (2, 3).  The anti-diagonal then splits {0, 1, 2, 3} into
+    one of four matchings, and the swaps (0 1), (2 3) and (0 1)(2 3) fix
+    the diagonal while carrying the matching (0, 2), (1, 3) onto the
+    other three.  The constraints and the kernel test do not see vertex
+    names, so a labeling extends one matching exactly when its renamed
+    image extends another, and one exhaustive case decides all four.
+    Fresh vertices enter one representative at a time and never exceed
+    max_vertices, which defaults to twice the number of lattice points,
+    enough for any representable instance; an exhausted search is
+    therefore a proof of non-representability.
     """
     deadline = deadline or Deadline.unlimited()
     variables = tuple(sorted(point_var(p) for p in collection.vertex_set))
@@ -560,20 +537,16 @@ def search_labeling(
     state = _Search(
         variables, constraints, max_vertices, ideal_basis, deadline, degree_cap
     )
-    for case_index, case in enumerate(_SEED_CASES):
-        assignment: dict[Var, GEdge] = {}
-        used: dict[GEdge, Var] = {}
-        for slot, e in zip(seed.slots, case):
-            assignment[slot] = e
-            used[e] = slot
-        state.log(
-            "seed",
-            f"minor {seed.index}, case {case_index + 1} of 4",
-            0,
-            assignment=state.snapshot(assignment),
-        )
-        labeling = state.dfs(assignment, used, 4, 0)
-        if labeling is not None:
-            return RepVerdict("representable", labeling, tuple(state.trace))
-    state.log("exhausted", "all seed cases refuted", 0)
+    assignment = dict(zip(seed.slots, _SEED_EDGES))
+    used = {e: slot for slot, e in assignment.items()}
+    state.log(
+        "seed",
+        f"minor {seed.index}, the one case up to vertex renaming",
+        0,
+        assignment=state.snapshot(assignment),
+    )
+    labeling = state.dfs(assignment, used, 4, 0)
+    if labeling is not None:
+        return RepVerdict("representable", labeling, tuple(state.trace))
+    state.log("exhausted", "the seed case is refuted", 0)
     return RepVerdict("not_representable", None, tuple(state.trace))

@@ -23,7 +23,6 @@ __all__ = [
     "BudgetExceeded",
     "Deadline",
     "GroebnerBasis",
-    "elimination_order",
     "s_pair",
     "reduce",
     "buchberger",
@@ -71,16 +70,6 @@ class Deadline:
     def check(self, context: str = "computation") -> None:
         if self.at is not None and time.monotonic() > self.at:
             raise BudgetExceeded(f"{context} exceeded its time budget")
-
-
-def elimination_order() -> MonomialOrder:
-    """Order for contracting away auxiliary variables.
-
-    Auxiliary variables already rank above every point variable, so plain
-    lex is an elimination order for the auxiliary block; the distinct tag
-    records intent.
-    """
-    return MonomialOrder("lex-elim")
 
 
 @dataclass(frozen=True)
@@ -205,6 +194,7 @@ def buchberger(
             heapq.heappush(pairs, (key, i, j))
 
     for j in range(len(basis)):
+        deadline.check("Groebner basis computation")
         push_pairs(j)
 
     while pairs:

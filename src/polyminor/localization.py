@@ -136,7 +136,6 @@ def corner_set(bounding: Interval, inner: CellCollection) -> tuple[CornerTriple,
 def nonzerodivisor_check(
     ambient: CellCollection,
     corner: Point | None = None,
-    order=LEX,
     *,
     degree_cap: int = DEFAULT_DEGREE_CAP,
     deadline: Deadline | None = None,
@@ -152,7 +151,7 @@ def nonzerodivisor_check(
         corner = Point(box.lower_left.i, box.upper_right.j)
     cvar = point_var(corner)
     basis = buchberger(
-        generators(ambient), order, degree_cap=degree_cap, deadline=deadline
+        generators(ambient), LEX, degree_cap=degree_cap, deadline=deadline
     )
     return all(g.plus.exponent(cvar) == 0 for g in basis)
 
@@ -163,6 +162,30 @@ def _extremal_inner_vertices(inner: CellCollection) -> tuple[Point, Point]:
     low = min(vertices)
     high = max(vertices, key=lambda p: (p.j, p.i))
     return low, high
+
+
+def _shrink(
+    bounding: Interval, inner: CellCollection
+) -> tuple[
+    tuple[CornerTriple, ...], frozenset[Cell], frozenset[Cell], IdentificationMap
+]:
+    """Corner triples, removed cells, remaining cells and identification map.
+
+    The one derivation of P' behind both construct_p_prime and
+    verify_localization.
+    """
+    triples = corner_set(bounding, inner)
+    removed = frozenset(c for t in triples for c in Interval(t.r, t.q).cells())
+    remaining = complement(bounding, inner).cells - removed
+    lo, hi = bounding.lower_left, bounding.upper_right
+    low, high = _extremal_inner_vertices(inner)
+    vertical = tuple(
+        (Point(lo.i, t), Point(low.i, t)) for t in range(lo.j, low.j + 1)
+    )
+    horizontal = tuple(
+        (Point(t, hi.j), Point(t, high.j)) for t in range(high.i, hi.i + 1)
+    )
+    return triples, removed, remaining, IdentificationMap(vertical, horizontal)
 
 
 def construct_p_prime(
@@ -176,21 +199,7 @@ def construct_p_prime(
     form a polyomino, which the localization argument rules out for
     valid hypotheses.
     """
-    ambient = complement(bounding, inner)
-    triples = corner_set(bounding, inner)
-    lo, hi = bounding.lower_left, bounding.upper_right
-    removed: set[Cell] = set()
-    for t in triples:
-        removed.update(Interval(t.r, t.q).cells())
-    remaining = ambient.cells - removed
-    low, high = _extremal_inner_vertices(inner)
-    vertical = tuple(
-        (Point(lo.i, t), Point(low.i, t)) for t in range(lo.j, low.j + 1)
-    )
-    horizontal = tuple(
-        (Point(t, hi.j), Point(t, high.j)) for t in range(high.i, hi.i + 1)
-    )
-    ident = IdentificationMap(vertical, horizontal)
+    _, _, remaining, ident = _shrink(bounding, inner)
     return Polyomino(remaining), ident
 
 
@@ -284,30 +293,16 @@ def verify_localization(
             (), frozenset(), None, None, {},
         )
     ambient = complement(bounding, inner)
-    triples = corner_set(bounding, inner)
-    removed: set[Cell] = set()
-    for t in triples:
-        removed.update(Interval(t.r, t.q).cells())
-    lo, hi = bounding.lower_left, bounding.upper_right
-    corner = Point(lo.i, hi.j)
+    triples, removed, remaining_cells, ident = _shrink(bounding, inner)
+    corner = Point(bounding.lower_left.i, bounding.upper_right.j)
     cvar = point_var(corner)
 
-    remaining_cells = ambient.cells - removed
     remaining = CellCollection(remaining_cells)
-    p_prime: CellCollection | None
+    p_prime: CellCollection
     try:
-        p_prime_poly, ident = construct_p_prime(bounding, inner)
-        p_prime = p_prime_poly
+        p_prime = Polyomino(remaining_cells)
         p_prime_ok = True
     except ValueError:
-        low, high = _extremal_inner_vertices(inner)
-        vertical = tuple(
-            (Point(lo.i, t), Point(low.i, t)) for t in range(lo.j, low.j + 1)
-        )
-        horizontal = tuple(
-            (Point(t, hi.j), Point(t, high.j)) for t in range(high.i, hi.i + 1)
-        )
-        ident = IdentificationMap(vertical, horizontal)
         p_prime = remaining
         p_prime_ok = False
 
@@ -337,5 +332,5 @@ def verify_localization(
 
     return LocalizationReport(
         bounding, inner, ambient, (),
-        triples, frozenset(removed), p_prime, ident, checks,
+        triples, removed, p_prime, ident, checks,
     )

@@ -18,7 +18,6 @@ from .groebner import (
     Deadline,
     GroebnerBasis,
     buchberger,
-    elimination_order,
     ideal_membership,
 )
 
@@ -206,15 +205,14 @@ def saturate(
     saturating by one variable preserves saturation by those already
     processed, a single pass over the variables is stable.
     """
-    order = elimination_order()
-    current = [g.oriented(order) for g in gens]
+    current = [g.oriented(LEX) for g in gens]
     support = sorted({v for g in current for v in g.vars()})
     marker_mon = Monomial(((SATURATION_MARKER, 1),))
     for v in support:
         adjoined = current + [
             Binomial(marker_mon.mul(Monomial(((v, 1),))), ONE)
         ]
-        basis = buchberger(adjoined, order, degree_cap=degree_cap, deadline=deadline)
+        basis = buchberger(adjoined, LEX, degree_cap=degree_cap, deadline=deadline)
         current = [g for g in basis if SATURATION_MARKER not in g.vars()]
     return tuple(sorted(current, key=lambda g: g.sort_key(LEX)))
 
@@ -294,17 +292,16 @@ def toric_ideal_of_map(
     Target variables must rank above source variables, which holds for
     auxiliary targets over point sources.
     """
-    order = elimination_order()
     relations = []
     for v, image in mapping.assignment:
         source_mon = Monomial(((v, 1),))
         if any(t <= v for t in image.vars()):
             raise ValueError(f"target monomial {image} does not dominate source {v}")
-        f = Binomial.make(image, source_mon, order)
+        f = Binomial.make(image, source_mon, LEX)
         if f is None:
             raise ValueError("image equals source variable")
         relations.append(f)
     targets = {t for _, image in mapping.assignment for t in image.vars()}
-    basis = buchberger(relations, order, degree_cap=degree_cap, deadline=deadline)
+    basis = buchberger(relations, LEX, degree_cap=degree_cap, deadline=deadline)
     kernel = [g for g in basis if not (frozenset(g.vars()) & targets)]
     return tuple(sorted(kernel, key=lambda g: g.sort_key(LEX)))

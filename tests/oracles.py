@@ -9,7 +9,16 @@ from __future__ import annotations
 
 import itertools
 
-from polyminor.geometry import Cell, Interval, Point, Polyomino
+from polyminor.geometry import (
+    Cell,
+    CellCollection,
+    Interval,
+    Point,
+    Polyomino,
+    is_convex,
+    is_polyomino,
+)
+from polyminor.localization import localization_hypotheses
 
 
 def naive_connected(cells: frozenset[tuple[int, int]]) -> bool:
@@ -157,3 +166,23 @@ def big_frame_shape() -> Polyomino:
         if not (1 <= i <= 2 and 1 <= j <= 2)
     ]
     return Polyomino(cells)
+
+
+def localization_family() -> list[tuple[Interval, CellCollection]]:
+    """Interior convex sub-polyominoes of all bounding boxes up to 4x4 cells."""
+    instances = []
+    for w in range(1, 5):
+        for h in range(1, 5):
+            bounding = Interval(Point(0, 0), Point(w, h))
+            interior = [
+                (i, j) for i in range(1, w - 1) for j in range(1, h - 1)
+            ]
+            for k in range(1, len(interior) + 1):
+                for combo in itertools.combinations(interior, k):
+                    inner = CellCollection(combo)
+                    if not is_polyomino(inner) or not is_convex(inner):
+                        continue
+                    if localization_hypotheses(bounding, inner):
+                        continue
+                    instances.append((bounding, inner))
+    return instances

@@ -4,7 +4,6 @@ Each criterion builds a JSON-compatible payload; criterion 8 reruns the
 first seven from scratch and demands byte-identical serialization.
 """
 
-import itertools
 import json
 import time
 
@@ -17,8 +16,6 @@ from polyminor.geometry import (
     Interval,
     Point,
     complement,
-    is_convex,
-    is_polyomino,
     is_simple,
 )
 from polyminor.graphrep import (
@@ -28,10 +25,10 @@ from polyminor.graphrep import (
     verify_representation,
 )
 from polyminor.groebner import buchberger, ideal_membership, quadratic_gb_condition
-from polyminor.localization import localization_hypotheses, verify_localization
+from polyminor.localization import verify_localization
 from polyminor.toric import TorsionWitness, is_prime, saturate, toric_ideal_of_map
 
-from oracles import frame_shape, naive_fixed_polyominoes
+from oracles import frame_shape, localization_family, naive_fixed_polyominoes
 
 _CACHE: dict[str, dict] = {}
 
@@ -145,26 +142,6 @@ def _build_c4() -> dict:
     }
 
 
-def _localization_family() -> list[tuple[Interval, CellCollection]]:
-    """Interior convex sub-polyominoes of all bounding boxes up to 4x4 cells."""
-    instances = []
-    for w in range(1, 5):
-        for h in range(1, 5):
-            bounding = Interval(Point(0, 0), Point(w, h))
-            interior = [
-                (i, j) for i in range(1, w - 1) for j in range(1, h - 1)
-            ]
-            for k in range(1, len(interior) + 1):
-                for combo in itertools.combinations(interior, k):
-                    inner = CellCollection(combo)
-                    if not is_polyomino(inner) or not is_convex(inner):
-                        continue
-                    if localization_hypotheses(bounding, inner):
-                        continue
-                    instances.append((bounding, inner))
-    return instances
-
-
 def _is_frame_instance(bounding: Interval, inner: CellCollection) -> bool:
     return bounding == Interval(Point(0, 0), Point(3, 3)) and {
         (c.i, c.j) for c in inner
@@ -172,7 +149,7 @@ def _is_frame_instance(bounding: Interval, inner: CellCollection) -> bool:
 
 
 def _build_c5() -> dict:
-    instances = _localization_family()
+    instances = localization_family()
     assert len(instances) == 20
     frame_data = None
     for bounding, inner in instances:
@@ -195,7 +172,7 @@ def _build_c5() -> dict:
 
 
 def _build_c6() -> dict:
-    instances = _localization_family()
+    instances = localization_family()
     frame_trace = None
     for bounding, inner in instances:
         ambient = complement(bounding, inner)

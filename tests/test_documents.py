@@ -4,7 +4,6 @@ from polyminor.documents import (
     ParseError,
     PolyominoDocument,
     parse_document,
-    parse_polyomino,
     render_ascii,
     serialize_document,
 )
@@ -38,7 +37,7 @@ class TestParsing:
         assert doc.cells == (Cell(0, 0),)
 
     def test_parse_polyomino_drops_metadata(self):
-        got = parse_polyomino(FRAME_DOC)
+        got = parse_document(FRAME_DOC).collection()
         assert isinstance(got, CellCollection)
         assert len(got) == 8
 

@@ -8,9 +8,7 @@ from polyminor.geometry import (
     Interval,
     Point,
     Polyomino,
-    anti_diagonal_corners,
     border_cells,
-    boundary,
     cell_interval,
     complement,
     componentwise_less,
@@ -86,7 +84,6 @@ class TestInterval:
     def test_anti_diagonal_corners(self):
         iv = Interval(Point(0, 1), Point(2, 4))
         assert iv.anti_diagonal_corners == (Point(0, 4), Point(2, 1))
-        assert anti_diagonal_corners(iv) == iv.anti_diagonal_corners
 
     def test_cells_cover_area(self):
         iv = Interval(Point(1, 1), Point(3, 4))
@@ -173,7 +170,6 @@ class TestConvexity:
 class TestBoundary:
     def test_unit_cell_free_edges(self, unit_cell):
         assert len(free_edges(unit_cell)) == 4
-        assert boundary(unit_cell) == free_edges(unit_cell)
 
     def test_2x2_block(self, block_2x2):
         assert len(free_edges(block_2x2)) == 8

@@ -1,16 +1,21 @@
+from collections import Counter
+
 import pytest
 
 from polyminor.binomials import Binomial, generators, inner_minor, point_var
-from polyminor.geometry import CellCollection, Interval, Point
+from polyminor.geometry import CellCollection, Interval, Point, complement
 from polyminor.graphrep import (
     GraphLabeling,
+    _Search,
     bipartite_grid_labeling,
     relation_constraints,
     search_labeling,
     verify_representation,
 )
-from polyminor.groebner import buchberger, ideal_membership
+from polyminor.groebner import DEFAULT_DEGREE_CAP, Deadline, buchberger, ideal_membership
 from polyminor.toric import toric_ideal_of_map
+
+from oracles import localization_family
 
 
 def x(i, j):
@@ -159,7 +164,7 @@ class TestSearch:
 
     def test_frame_trace_structure(self, frame_verdict):
         kinds = [e.kind for e in frame_verdict.trace]
-        assert kinds.count("seed") == 4  # all four seed cases explored
+        assert kinds.count("seed") == 1  # one case up to vertex renaming
         assert kinds[-1] == "exhausted"
         assert "conflict" in kinds
         assert "reject_labeling" in kinds
@@ -198,3 +203,42 @@ class TestSearch:
         again = search_labeling(frame)
         assert [e.kind for e in again.trace] == [e.kind for e in frame_verdict.trace]
         assert [e.detail for e in again.trace] == [e.detail for e in frame_verdict.trace]
+
+
+# Vertex swaps fixing the seed's diagonal edges (0, 1) and (2, 3); they carry
+# its anti-diagonal matching (0, 2), (1, 3) onto the three other matchings.
+_DIAGONAL_SWAPS = ({0: 1, 1: 0}, {2: 3, 3: 2}, {0: 1, 1: 0, 2: 3, 3: 2})
+
+
+def _renamed(edge, swap):
+    u, v = (swap.get(w, w) for w in edge)
+    return (u, v) if u <= v else (v, u)
+
+
+class TestSeedSymmetry:
+    def test_swapped_seeds_refute_alike(self):
+        # searching the other three matchings refutes each family instance
+        # with exactly the event counts of the one case search_labeling runs
+        for bounding, inner in localization_family():
+            ambient = complement(bounding, inner)
+            verdict = search_labeling(ambient)
+            assert not verdict.representable
+            seed, *body, last = verdict.trace
+            assert (seed.kind, last.kind) == ("seed", "exhausted")
+            expected = Counter(e.kind for e in body)
+            variables = tuple(sorted(point_var(p) for p in ambient.vertex_set))
+            ideal_basis = buchberger(generators(ambient))
+            for swap in _DIAGONAL_SWAPS:
+                assignment = {v: _renamed(e, swap) for v, e in seed.assignment}
+                assert assignment != dict(seed.assignment)
+                state = _Search(
+                    variables,
+                    relation_constraints(ambient),
+                    2 * len(variables),
+                    ideal_basis,
+                    Deadline.unlimited(),
+                    DEFAULT_DEGREE_CAP,
+                )
+                used = {e: v for v, e in assignment.items()}
+                assert state.dfs(assignment, used, 4, 0) is None
+                assert Counter(e.kind for e in state.trace) == expected

@@ -10,7 +10,6 @@ from polyminor.binomials import (
     Binomial,
     Monomial,
     generators,
-    initial_term,
     inner_minor,
     point_var,
 )
@@ -171,8 +170,14 @@ class TestBuchberger:
         assert exc.value.element.degree == 4
 
     def test_deadline_raises(self, frame):
-        with pytest.raises(BudgetExceeded):
-            buchberger(generators(frame), deadline=Deadline(at=time.monotonic() - 1))
+        # the 6x6 rectangle has 441 generators and ~97k initial pairs, so the
+        # deadline must be honoured while the pair queue is still being built
+        rect_6x6 = Polyomino([(i, j) for i in range(6) for j in range(6)])
+        for shape in (frame, rect_6x6):
+            start = time.monotonic()
+            with pytest.raises(BudgetExceeded):
+                buchberger(generators(shape), deadline=Deadline(at=start - 1))
+            assert time.monotonic() - start < 0.5
 
     def test_result_deterministic(self, s_tetromino):
         a = buchberger(generators(s_tetromino))
