@@ -11,13 +11,26 @@ unit propagation assigns forced edges, branching enumerates the few edge
 candidates a partially assigned constraint leaves open, and fresh
 vertices are introduced one representative at a time.  Vertex names
 carry no meaning, so one seed assignment of one minor stands for every
-renaming of it.  Complete labelings are accepted only after the kernel
-ideal is verified to equal the minor ideal exactly.
+renaming of it.
+
+A complete labeling satisfies every constraint, so each inner minor maps
+to zero and the minor ideal I, whose generators span the exponent lattice
+L, lies in the kernel J.  J is the lattice ideal of the saturated lattice
+M of integer relations among the edge vectors, so it is prime, and
+rank M = #variables - rank(incidence matrix).  Hence J = I exactly when
+I is prime and rank L = rank M.  If so, I equals its saturation by the
+product of all variables, which is the lattice ideal of the saturated L
+(Eisenbud-Sturmfels, "Binomial ideals"), and a saturated L inside M of
+equal rank is M.  Conversely every binomial of I = J has its exponent
+difference in L, so M lies in L.  Labelings are accepted by this exact
+test, with no elimination; a rejected labeling still yields a kernel
+element outside the ideal as its witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .binomials import LEX, Binomial, Monomial, Var, aux_var, generators, point_var
@@ -30,7 +43,13 @@ from .groebner import (
     ideal_equal,
     ideal_membership,
 )
-from .toric import MonomialMap, toric_ideal_of_map
+from .toric import (
+    IntegerMatrix,
+    MonomialMap,
+    exponent_lattice,
+    is_prime,
+    toric_ideal_of_map,
+)
 
 __all__ = [
     "GEdge",
@@ -153,6 +172,43 @@ def verify_representation(
     )
 
 
+def _prime_lattice_rank(
+    gens: tuple[Binomial, ...],
+    *,
+    degree_cap: int = DEFAULT_DEGREE_CAP,
+    deadline: Deadline | None = None,
+) -> int | None:
+    """Rank of the ideal's exponent lattice when the ideal is prime, else None."""
+    if not is_prime(gens, degree_cap=degree_cap, deadline=deadline).is_prime:
+        return None
+    return exponent_lattice(gens).rank
+
+
+def _incidence_rank(labeling: GraphLabeling) -> int:
+    vertices = sorted({u for _, e in labeling.edges for u in e})
+    column = {u: k for k, u in enumerate(vertices)}
+    rows = []
+    for _, e in labeling.edges:
+        row = [0] * len(vertices)
+        for u in e:
+            row[column[u]] = 1
+        rows.append(tuple(row))
+    return IntegerMatrix(tuple(aux_var("t", u) for u in vertices), tuple(rows)).rank
+
+
+def _kernel_equals_ideal(labeling: GraphLabeling, prime_rank: int | None) -> bool:
+    """Whether the kernel of a labeling meeting every constraint is the ideal.
+
+    prime_rank is the ideal's _prime_lattice_rank.  The ideal lies in the
+    prime kernel, whose lattice has rank #variables - rank(incidence
+    matrix), and the two are equal exactly when the ideal is prime with a
+    lattice of that rank (see the module docstring).
+    """
+    if prime_rank is None:
+        return False
+    return prime_rank == len(labeling.edges) - _incidence_rank(labeling)
+
+
 @dataclass(frozen=True)
 class TraceEvent:
     """One step of the search; conflicts and rejections carry snapshots."""
@@ -234,6 +290,7 @@ class _Search:
         variables: tuple[Var, ...],
         constraints: tuple[Constraint, ...],
         max_vertices: int,
+        gens: tuple[Binomial, ...],
         ideal_basis: GroebnerBasis,
         deadline: Deadline,
         degree_cap: int,
@@ -244,6 +301,7 @@ class _Search:
             v: tuple(c for c in constraints if v in c.slots) for v in variables
         }
         self.max_vertices = max_vertices
+        self.gens = gens
         self.ideal_basis = ideal_basis
         self.deadline = deadline
         self.degree_cap = degree_cap
@@ -410,9 +468,24 @@ class _Search:
                     return f
         return None
 
+    @cached_property
+    def prime_rank(self) -> int | None:
+        return _prime_lattice_rank(
+            self.gens, degree_cap=self.degree_cap, deadline=self.deadline
+        )
+
     def verify_full(
         self, assignment: dict[Var, GEdge], depth: int
     ) -> GraphLabeling | None:
+        """The labeling when its kernel equals the ideal, else None.
+
+        A kernel quadric outside the ideal rejects first.  Otherwise the
+        kernel equals the ideal exactly when the ideal is prime and its
+        lattice rank is #variables - rank(incidence matrix), since the
+        ideal lies in the prime kernel.  When it does not, some element of
+        the kernel's elimination basis lies outside the ideal and becomes
+        the rejection witness.
+        """
         witness = self._quadratic_witness(assignment)
         if witness is not None:
             self.log(
@@ -424,6 +497,10 @@ class _Search:
             )
             return None
         labeling = GraphLabeling(tuple(assignment.items()))
+        if _kernel_equals_ideal(labeling, self.prime_rank):
+            self.log("accept", "kernel equals the ideal", depth,
+                     assignment=self.snapshot(assignment))
+            return labeling
         kernel = toric_ideal_of_map(
             labeling.monomial_map(),
             degree_cap=self.degree_cap,
@@ -439,9 +516,9 @@ class _Search:
                     witness=f,
                 )
                 return None
-        self.log("accept", "kernel equals the ideal", depth,
-                 assignment=self.snapshot(assignment))
-        return labeling
+        raise RuntimeError(
+            "the lattice test rejects a labeling whose kernel lies in the ideal"
+        )
 
     # ---- depth-first search ------------------------------------------
 
@@ -522,9 +599,8 @@ def search_labeling(
         max_vertices = 2 * len(variables)
     if max_vertices < 4:
         raise ValueError("at least four abstract vertices are required")
-    ideal_basis = buchberger(
-        generators(collection), LEX, degree_cap=degree_cap, deadline=deadline
-    )
+    gens = generators(collection)
+    ideal_basis = buchberger(gens, LEX, degree_cap=degree_cap, deadline=deadline)
     participation = {
         v: len(cons)
         for v, cons in (
@@ -535,7 +611,7 @@ def search_labeling(
         constraints, key=lambda c: (sum(participation[s] for s in c.slots), -c.index)
     )
     state = _Search(
-        variables, constraints, max_vertices, ideal_basis, deadline, degree_cap
+        variables, constraints, max_vertices, gens, ideal_basis, deadline, degree_cap
     )
     assignment = dict(zip(seed.slots, _SEED_EDGES))
     used = {e: slot for slot, e in assignment.items()}

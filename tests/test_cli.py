@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polyminor
 from polyminor.cli import main
 
 FRAME_DOC = """\
@@ -54,6 +59,20 @@ class TestChecks:
         code, out, _ = run(capsys, "check-simple", "--input", unit_file, "--json")
         assert code == 0
         assert json.loads(out) == {"simple": True}
+
+    def test_module_entry_point(self, unit_file):
+        # python -m polyminor runs the same CLI as the console script
+        src = str(Path(polyminor.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyminor", "check-simple", "--input", unit_file, "--json"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"simple": True}
 
     def test_check_convex(self, capsys, tmp_path):
         path = tmp_path / "s.poly"

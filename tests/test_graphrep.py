@@ -7,6 +7,8 @@ from polyminor.geometry import CellCollection, Interval, Point, complement
 from polyminor.graphrep import (
     GraphLabeling,
     _Search,
+    _kernel_equals_ideal,
+    _prime_lattice_rank,
     bipartite_grid_labeling,
     relation_constraints,
     search_labeling,
@@ -82,6 +84,7 @@ class TestGridLabeling:
             right = tuple(sorted(assignment[c.right[0]] + assignment[c.right[1]]))
             assert left == right  # every local multiset constraint holds
         assert not verify_representation(frame, lab)
+        assert not _kernel_equals_ideal(lab, _prime_lattice_rank(generators(frame)))
 
     def test_frame_extra_kernel_element_crosses_hole(self, frame):
         lab = bipartite_grid_labeling(frame)
@@ -111,11 +114,14 @@ class TestGridLabeling:
             CellCollection([(0, 0), (0, 1), (1, 1), (2, 0), (2, 1)]).canonical_key(),
             CellCollection([(0, 0), (0, 2), (1, 0), (1, 1), (1, 2)]).canonical_key(),
         }
-        failures = {
-            shape.canonical_key()
-            for shape in enumerate_polyominoes(5)
-            if not verify_representation(shape, bipartite_grid_labeling(shape))
-        }
+        failures = set()
+        for shape in enumerate_polyominoes(5):
+            lab = bipartite_grid_labeling(shape)
+            verified = verify_representation(shape, lab)
+            rank = _prime_lattice_rank(generators(shape))
+            assert _kernel_equals_ideal(lab, rank) == verified, shape
+            if not verified:
+                failures.add(shape.canonical_key())
         assert failures == u_orientations
 
 
@@ -191,6 +197,25 @@ class TestSearch:
         for chain_var in (x(0, 3), x(1, 1), x(1, 0), x(2, 0)):
             assert chain_var in assigned
 
+    def test_strict_containment_rejection(self):
+        # three pairwise disjoint cells: one full labeling passes the quadric
+        # test yet its kernel has a higher-degree element outside the ideal
+        cells = CellCollection([(0, 0), (0, 2), (2, 0)])
+        verdict = search_labeling(cells)
+        assert verdict.representable
+        strict = [
+            e
+            for e in verdict.trace
+            if e.detail == "labeling kernel strictly contains the ideal"
+        ]
+        assert len(strict) == 1
+        (event,) = strict
+        assert event.witness.degree > 2
+        lab = GraphLabeling(event.assignment)
+        kernel_basis = buchberger(toric_ideal_of_map(lab.monomial_map()))
+        assert ideal_membership(event.witness, kernel_basis)
+        assert not ideal_membership(event.witness, buchberger(generators(cells)))
+
     def test_requires_enough_vertices(self, unit_cell):
         with pytest.raises(ValueError):
             search_labeling(unit_cell, max_vertices=3)
@@ -227,7 +252,8 @@ class TestSeedSymmetry:
             assert (seed.kind, last.kind) == ("seed", "exhausted")
             expected = Counter(e.kind for e in body)
             variables = tuple(sorted(point_var(p) for p in ambient.vertex_set))
-            ideal_basis = buchberger(generators(ambient))
+            gens = generators(ambient)
+            ideal_basis = buchberger(gens)
             for swap in _DIAGONAL_SWAPS:
                 assignment = {v: _renamed(e, swap) for v, e in seed.assignment}
                 assert assignment != dict(seed.assignment)
@@ -235,6 +261,7 @@ class TestSeedSymmetry:
                     variables,
                     relation_constraints(ambient),
                     2 * len(variables),
+                    gens,
                     ideal_basis,
                     Deadline.unlimited(),
                     DEFAULT_DEGREE_CAP,
