@@ -25,7 +25,7 @@ from .groebner import (
     quadratic_gb_condition,
 )
 from .localization import verify_localization
-from .survey import row_id, rows_ndjson, rows_table, survey
+from .survey import DEFAULT_ROW_BUDGET, row_id, rows_ndjson, rows_table, survey
 from .toric import is_prime
 
 __all__ = ["main"]
@@ -184,7 +184,6 @@ def _cmd_graph_rep(args) -> int:
     try:
         verdict = search_labeling(
             _collection(args),
-            max_vertices=args.max_vertices,
             deadline=_deadline(args),
             degree_cap=args.degree_cap,
         )
@@ -232,7 +231,6 @@ def _cmd_survey(args) -> int:
         args.max_cells,
         budget_seconds=args.budget_seconds,
         degree_cap=args.degree_cap,
-        max_vertices=args.max_vertices,
     )
     if args.json:
         sys.stdout.write(rows_ndjson(rows))
@@ -253,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, *, needs_input=True, budget=False, cap=False, vertices=False):
+    def add(name, handler, *, needs_input=True, budget=False, cap=False):
         p = sub.add_parser(name)
         if needs_input:
             p.add_argument("--input", required=True, help="polyomino document ('-' for stdin)")
@@ -262,8 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--budget-seconds", type=float, default=None)
         if cap:
             p.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP)
-        if vertices:
-            p.add_argument("--max-vertices", type=int, default=None)
         p.set_defaults(handler=handler)
         return p
 
@@ -274,13 +270,13 @@ def _build_parser() -> argparse.ArgumentParser:
     add("quadratic-gb", _cmd_quadratic_gb)
     add("prime", _cmd_prime, budget=True, cap=True)
     add("localize", _cmd_localize, budget=True, cap=True)
-    add("graph-rep", _cmd_graph_rep, budget=True, cap=True, vertices=True)
+    add("graph-rep", _cmd_graph_rep, budget=True, cap=True)
     add("complement", _cmd_complement)
     enum_p = add("enumerate", _cmd_enumerate, needs_input=False)
     enum_p.add_argument("--count", type=int, required=True)
-    survey_p = add("survey", _cmd_survey, needs_input=False, cap=True, vertices=True)
+    survey_p = add("survey", _cmd_survey, needs_input=False, cap=True)
     survey_p.add_argument("--max-cells", type=int, required=True)
-    survey_p.add_argument("--budget-seconds", type=float, default=30.0)
+    survey_p.add_argument("--budget-seconds", type=float, default=DEFAULT_ROW_BUDGET)
     add("render", _cmd_render)
     return parser
 
@@ -293,16 +289,10 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ParseError as exc:
+    except ValueError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DegreeCapExceeded as exc:
+    except (BudgetExceeded, DegreeCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

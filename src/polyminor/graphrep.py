@@ -38,7 +38,6 @@ from .geometry import CellCollection, inner_intervals
 from .groebner import (
     DEFAULT_DEGREE_CAP,
     Deadline,
-    GroebnerBasis,
     buchberger,
     ideal_equal,
     ideal_membership,
@@ -283,46 +282,64 @@ def _complete(
 
 
 class _Search:
-    """Mutable search state; cloned at branch points, shared trace."""
+    """Search state for one collection: a single assignment and its undo trail.
+
+    assign and undo are the only ways the assignment changes, so one state
+    serves the whole search and a branch is left by undoing to its mark.
+    Every labeling fits in two vertices per variable, so that is the cap.
+    """
 
     def __init__(
-        self,
-        variables: tuple[Var, ...],
-        constraints: tuple[Constraint, ...],
-        max_vertices: int,
-        gens: tuple[Binomial, ...],
-        ideal_basis: GroebnerBasis,
-        deadline: Deadline,
-        degree_cap: int,
+        self, collection: CellCollection, deadline: Deadline, degree_cap: int
     ) -> None:
-        self.variables = variables
-        self.constraints = constraints
+        self.variables = tuple(sorted(point_var(p) for p in collection.vertex_set))
+        self.constraints = relation_constraints(collection)
+        if not self.constraints:
+            raise ValueError("collection has no inner minors to represent")
         self.by_var: dict[Var, tuple[Constraint, ...]] = {
-            v: tuple(c for c in constraints if v in c.slots) for v in variables
+            v: tuple(c for c in self.constraints if v in c.slots)
+            for v in self.variables
         }
-        self.max_vertices = max_vertices
-        self.gens = gens
-        self.ideal_basis = ideal_basis
+        self.vertex_cap = 2 * len(self.variables)
+        self.gens = generators(collection)
+        self.ideal_basis = buchberger(
+            self.gens, LEX, degree_cap=degree_cap, deadline=deadline
+        )
         self.deadline = deadline
         self.degree_cap = degree_cap
+        self.assignment: dict[Var, GEdge] = {}
+        self.used: dict[GEdge, Var] = {}
+        self.trail: list[Var] = []
+        # fresh[k]: the lowest vertex above every edge of the first k on the trail
+        self.fresh: list[int] = [0]
         self.trace: list[TraceEvent] = []
 
-    def snapshot(self, assignment: dict[Var, GEdge]) -> tuple[tuple[Var, GEdge], ...]:
-        return tuple(sorted(assignment.items()))
+    def assign(self, v: Var, e: GEdge) -> None:
+        self.assignment[v] = e
+        self.used[e] = v
+        self.trail.append(v)
+        self.fresh.append(max(self.fresh[-1], e[1] + 1))
+
+    def undo(self, mark: int) -> None:
+        """Unassign the variables assigned since the trail had length mark."""
+        while len(self.trail) > mark:
+            del self.used[self.assignment.pop(self.trail.pop())]
+            self.fresh.pop()
+
+    def snapshot(self) -> tuple[tuple[Var, GEdge], ...]:
+        return tuple(sorted(self.assignment.items()))
 
     def log(self, kind: str, detail: str, depth: int, **kw) -> None:
         self.trace.append(TraceEvent(kind, detail, depth, **kw))
 
     # ---- propagation -------------------------------------------------
 
-    def propagate(
-        self, assignment: dict[Var, GEdge], used: dict[GEdge, Var], depth: int
-    ) -> bool:
+    def propagate(self, depth: int) -> bool:
         changed = True
         while changed:
             changed = False
             for con in self.constraints:
-                step = _complete(con, assignment, used)
+                step = _complete(con, self.assignment, self.used)
                 if step is None:
                     continue
                 hole_var, edge, reason = step
@@ -333,13 +350,12 @@ class _Search:
                         depth,
                         var=hole_var,
                         edge=edge,
-                        assignment=self.snapshot(assignment),
+                        assignment=self.snapshot(),
                     )
                     return False
                 if hole_var is None:
                     continue
-                assignment[hole_var] = edge
-                used[edge] = hole_var
+                self.assign(hole_var, edge)
                 self.log("force", f"forced by minor {con.index}", depth,
                          var=hole_var, edge=edge)
                 changed = True
@@ -347,29 +363,20 @@ class _Search:
 
     # ---- candidate generation ----------------------------------------
 
-    def _viable(
-        self, v: Var, e: GEdge, assignment: dict[Var, GEdge], used: dict[GEdge, Var]
-    ) -> bool:
+    def _viable(self, v: Var, e: GEdge) -> bool:
         """Whether giving v the edge e leaves every constraint of v satisfiable."""
-        assignment[v] = e
-        used[e] = v
-        try:
-            for con in self.by_var[v]:
-                step = _complete(con, assignment, used)
-                if step is not None and step[2] is not None:
-                    return False
-            return True
-        finally:
-            del assignment[v]
-            del used[e]
+        mark = len(self.trail)
+        self.assign(v, e)
+        viable = True
+        for con in self.by_var[v]:
+            step = _complete(con, self.assignment, self.used)
+            if step is not None and step[2] is not None:
+                viable = False
+                break
+        self.undo(mark)
+        return viable
 
-    def _constraint_candidates(
-        self,
-        v: Var,
-        con: Constraint,
-        assignment: dict[Var, GEdge],
-        next_vertex: int,
-    ) -> list[GEdge] | None:
+    def _constraint_candidates(self, v: Var, con: Constraint) -> list[GEdge] | None:
         """Finite superset of edges v may take under this constraint, or None.
 
         Runs after propagation has reached its fixpoint, so v is never the
@@ -377,8 +384,8 @@ class _Search:
         """
         own, other = con.side_of(v)
         partner = own[0] if own[1] == v else own[1]
-        pe = assignment.get(partner)
-        o1, o2 = assignment.get(other[0]), assignment.get(other[1])
+        pe = self.assignment.get(partner)
+        o1, o2 = self.assignment.get(other[0]), self.assignment.get(other[1])
         if o1 is not None and o2 is not None:
             total = _multiset(o1, o2)
             out = set()
@@ -399,28 +406,19 @@ class _Search:
                 return [oe]
             if len(need) == 1:
                 d = need[0]
-                out = {
-                    _mkedge(d, z)
-                    for z in range(min(next_vertex + 1, self.max_vertices))
-                    if z != d
-                }
-                return sorted(out)
+                hi = min(self.fresh[-1] + 1, self.vertex_cap)
+                return sorted({_mkedge(d, z) for z in range(hi) if z != d})
         return None
 
-    def branch_candidates(
-        self,
-        assignment: dict[Var, GEdge],
-        used: dict[GEdge, Var],
-        next_vertex: int,
-    ) -> tuple[Var, list[GEdge]] | None:
-        unassigned = [v for v in self.variables if v not in assignment]
+    def branch_candidates(self) -> tuple[Var, list[GEdge]] | None:
+        unassigned = [v for v in self.variables if v not in self.assignment]
         if not unassigned:
             return None
         best: tuple[int, Var, list[GEdge]] | None = None
         for v in unassigned:
             domain: list[GEdge] | None = None
             for con in self.by_var[v]:
-                cand = self._constraint_candidates(v, con, assignment, next_vertex)
+                cand = self._constraint_candidates(v, con)
                 if cand is not None and (domain is None or len(cand) < len(domain)):
                     domain = cand
             if domain is not None:
@@ -431,12 +429,12 @@ class _Search:
             # unassigned variable touching an assigned one
             pick = None
             for v in unassigned:
-                if any(assignment.get(s) is not None for c in self.by_var[v] for s in c.slots):
+                if any(s in self.assignment for c in self.by_var[v] for s in c.slots):
                     pick = v
                     break
             if pick is None:
                 pick = unassigned[0]
-            hi = min(next_vertex + 2, self.max_vertices)
+            hi = min(self.fresh[-1] + 2, self.vertex_cap)
             domain = [
                 _mkedge(u, w) for u in range(hi) for w in range(u + 1, hi)
             ]
@@ -445,19 +443,19 @@ class _Search:
         filtered = [
             e
             for e in domain
-            if e not in used
-            and e[1] < self.max_vertices
-            and self._viable(v, e, assignment, used)
+            if e not in self.used
+            and e[1] < self.vertex_cap
+            and self._viable(v, e)
         ]
         return v, filtered
 
     # ---- full labeling verification ----------------------------------
 
-    def _quadratic_witness(self, assignment: dict[Var, GEdge]) -> Binomial | None:
+    def _quadratic_witness(self) -> Binomial | None:
         groups: dict[tuple[int, ...], list[Monomial]] = {}
         for a_idx, a in enumerate(self.variables):
             for b in self.variables[a_idx:]:
-                key = _multiset(assignment[a], assignment[b])
+                key = _multiset(self.assignment[a], self.assignment[b])
                 groups.setdefault(key, []).append(Monomial.from_vars((a, b)))
         for key in sorted(groups):
             mons = groups[key]
@@ -474,9 +472,7 @@ class _Search:
             self.gens, degree_cap=self.degree_cap, deadline=self.deadline
         )
 
-    def verify_full(
-        self, assignment: dict[Var, GEdge], depth: int
-    ) -> GraphLabeling | None:
+    def verify_full(self, depth: int) -> GraphLabeling | None:
         """The labeling when its kernel equals the ideal, else None.
 
         A kernel quadric outside the ideal rejects first.  Otherwise the
@@ -486,20 +482,20 @@ class _Search:
         the kernel's elimination basis lies outside the ideal and becomes
         the rejection witness.
         """
-        witness = self._quadratic_witness(assignment)
+        witness = self._quadratic_witness()
         if witness is not None:
             self.log(
                 "reject_labeling",
                 "labeling kernel contains a quadric outside the ideal",
                 depth,
-                assignment=self.snapshot(assignment),
+                assignment=self.snapshot(),
                 witness=witness,
             )
             return None
-        labeling = GraphLabeling(tuple(assignment.items()))
+        labeling = GraphLabeling(tuple(self.assignment.items()))
         if _kernel_equals_ideal(labeling, self.prime_rank):
             self.log("accept", "kernel equals the ideal", depth,
-                     assignment=self.snapshot(assignment))
+                     assignment=self.snapshot())
             return labeling
         kernel = toric_ideal_of_map(
             labeling.monomial_map(),
@@ -512,7 +508,7 @@ class _Search:
                     "reject_labeling",
                     "labeling kernel strictly contains the ideal",
                     depth,
-                    assignment=self.snapshot(assignment),
+                    assignment=self.snapshot(),
                     witness=f,
                 )
                 return None
@@ -522,22 +518,20 @@ class _Search:
 
     # ---- depth-first search ------------------------------------------
 
-    def dfs(
-        self,
-        assignment: dict[Var, GEdge],
-        used: dict[GEdge, Var],
-        next_vertex: int,
-        depth: int,
-    ) -> GraphLabeling | None:
+    def dfs(self, depth: int) -> GraphLabeling | None:
+        """Extend the current assignment to an accepted labeling, or None.
+
+        Returns with its own assignments still in place; a caller leaves
+        the branch by undoing to the mark it took before assigning.  Each
+        level assigns at least one variable, so the depth is at most the
+        number of variables.
+        """
         self.deadline.check("graph labeling search")
-        if not self.propagate(assignment, used, depth):
+        if not self.propagate(depth):
             return None
-        next_vertex = max(
-            [next_vertex] + [e[1] + 1 for e in assignment.values()]
-        )
-        picked = self.branch_candidates(assignment, used, next_vertex)
+        picked = self.branch_candidates()
         if picked is None:
-            return self.verify_full(assignment, depth)
+            return self.verify_full(depth)
         v, candidates = picked
         if not candidates:
             self.log(
@@ -545,20 +539,17 @@ class _Search:
                 f"no viable edge for {v}",
                 depth,
                 var=v,
-                assignment=self.snapshot(assignment),
+                assignment=self.snapshot(),
             )
             return None
+        mark = len(self.trail)
         for e in candidates:
-            child_assignment = dict(assignment)
-            child_used = dict(used)
-            child_assignment[v] = e
-            child_used[e] = v
+            self.assign(v, e)
             self.log("assign", "branch", depth + 1, var=v, edge=e)
-            found = self.dfs(
-                child_assignment, child_used, max(next_vertex, e[1] + 1), depth + 1
-            )
+            found = self.dfs(depth + 1)
             if found is not None:
                 return found
+            self.undo(mark)
         return None
 
 
@@ -569,7 +560,6 @@ _SEED_EDGES = ((0, 1), (2, 3), (0, 2), (1, 3))
 def search_labeling(
     collection: CellCollection,
     *,
-    max_vertices: int | None = None,
     deadline: Deadline | None = None,
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> RepVerdict:
@@ -585,43 +575,26 @@ def search_labeling(
     other three.  The constraints and the kernel test do not see vertex
     names, so a labeling extends one matching exactly when its renamed
     image extends another, and one exhaustive case decides all four.
-    Fresh vertices enter one representative at a time and never exceed
-    max_vertices, which defaults to twice the number of lattice points,
-    enough for any representable instance; an exhausted search is
-    therefore a proof of non-representability.
+    Fresh vertices enter one representative at a time, below a cap of
+    twice the number of lattice points.  The cap is a constant, not a
+    parameter: a labeling has one edge per point, so up to renaming its
+    vertices all lie below the cap, and an exhausted search is therefore
+    a proof of non-representability.
     """
-    deadline = deadline or Deadline.unlimited()
-    variables = tuple(sorted(point_var(p) for p in collection.vertex_set))
-    constraints = relation_constraints(collection)
-    if not constraints:
-        raise ValueError("collection has no inner minors to represent")
-    if max_vertices is None:
-        max_vertices = 2 * len(variables)
-    if max_vertices < 4:
-        raise ValueError("at least four abstract vertices are required")
-    gens = generators(collection)
-    ideal_basis = buchberger(gens, LEX, degree_cap=degree_cap, deadline=deadline)
-    participation = {
-        v: len(cons)
-        for v, cons in (
-            (v, [c for c in constraints if v in c.slots]) for v in variables
-        )
-    }
+    state = _Search(collection, deadline or Deadline.unlimited(), degree_cap)
     seed = max(
-        constraints, key=lambda c: (sum(participation[s] for s in c.slots), -c.index)
+        state.constraints,
+        key=lambda c: (sum(len(state.by_var[s]) for s in c.slots), -c.index),
     )
-    state = _Search(
-        variables, constraints, max_vertices, gens, ideal_basis, deadline, degree_cap
-    )
-    assignment = dict(zip(seed.slots, _SEED_EDGES))
-    used = {e: slot for slot, e in assignment.items()}
+    for slot, e in zip(seed.slots, _SEED_EDGES):
+        state.assign(slot, e)
     state.log(
         "seed",
         f"minor {seed.index}, the one case up to vertex renaming",
         0,
-        assignment=state.snapshot(assignment),
+        assignment=state.snapshot(),
     )
-    labeling = state.dfs(assignment, used, 4, 0)
+    labeling = state.dfs(0)
     if labeling is not None:
         return RepVerdict("representable", labeling, tuple(state.trace))
     state.log("exhausted", "the seed case is refuted", 0)

@@ -63,7 +63,6 @@ def survey_row(
     *,
     budget_seconds: float | None = DEFAULT_ROW_BUDGET,
     degree_cap: int = DEFAULT_DEGREE_CAP,
-    max_vertices: int | None = None,
 ) -> SurveyRow:
     """Classify one collection; the budget covers the whole row."""
     deadline = Deadline.after_seconds(budget_seconds)
@@ -81,10 +80,7 @@ def survey_row(
     graph_status = "timeout"
     try:
         verdict = search_labeling(
-            collection,
-            max_vertices=max_vertices,
-            deadline=deadline,
-            degree_cap=degree_cap,
+            collection, deadline=deadline, degree_cap=degree_cap
         )
         graph_status = verdict.status
     except (BudgetExceeded, DegreeCapExceeded):
@@ -109,7 +105,6 @@ def survey(
     *,
     budget_seconds: float | None = DEFAULT_ROW_BUDGET,
     degree_cap: int = DEFAULT_DEGREE_CAP,
-    max_vertices: int | None = None,
 ) -> tuple[SurveyRow, ...]:
     """Rows for every polyomino with up to max_cells cells, canonical order."""
     rows = []
@@ -117,10 +112,7 @@ def survey(
         for shape in enumerate_polyominoes(n):
             rows.append(
                 survey_row(
-                    shape,
-                    budget_seconds=budget_seconds,
-                    degree_cap=degree_cap,
-                    max_vertices=max_vertices,
+                    shape, budget_seconds=budget_seconds, degree_cap=degree_cap
                 )
             )
     return tuple(rows)

@@ -16,7 +16,6 @@ from .binomials import LEX, ONE, Binomial, Monomial, Var, aux_var
 from .groebner import (
     DEFAULT_DEGREE_CAP,
     Deadline,
-    GroebnerBasis,
     buchberger,
     ideal_membership,
 )
@@ -214,7 +213,7 @@ def saturate(
         ]
         basis = buchberger(adjoined, LEX, degree_cap=degree_cap, deadline=deadline)
         current = [g for g in basis if SATURATION_MARKER not in g.vars()]
-    return tuple(sorted(current, key=lambda g: g.sort_key(LEX)))
+    return tuple(current)
 
 
 @dataclass(frozen=True)
@@ -304,4 +303,4 @@ def toric_ideal_of_map(
     targets = {t for _, image in mapping.assignment for t in image.vars()}
     basis = buchberger(relations, LEX, degree_cap=degree_cap, deadline=deadline)
     kernel = [g for g in basis if not (frozenset(g.vars()) & targets)]
-    return tuple(sorted(kernel, key=lambda g: g.sort_key(LEX)))
+    return tuple(kernel)

@@ -216,18 +216,13 @@ class TestSearch:
         assert ideal_membership(event.witness, kernel_basis)
         assert not ideal_membership(event.witness, buchberger(generators(cells)))
 
-    def test_requires_enough_vertices(self, unit_cell):
-        with pytest.raises(ValueError):
-            search_labeling(unit_cell, max_vertices=3)
-
     def test_requires_constraints(self):
         with pytest.raises(ValueError):
             search_labeling(CellCollection(()))
 
     def test_verdict_deterministic(self, frame, frame_verdict):
         again = search_labeling(frame)
-        assert [e.kind for e in again.trace] == [e.kind for e in frame_verdict.trace]
-        assert [e.detail for e in again.trace] == [e.detail for e in frame_verdict.trace]
+        assert again.trace == frame_verdict.trace
 
 
 # Vertex swaps fixing the seed's diagonal edges (0, 1) and (2, 3); they carry
@@ -251,21 +246,17 @@ class TestSeedSymmetry:
             seed, *body, last = verdict.trace
             assert (seed.kind, last.kind) == ("seed", "exhausted")
             expected = Counter(e.kind for e in body)
-            variables = tuple(sorted(point_var(p) for p in ambient.vertex_set))
-            gens = generators(ambient)
-            ideal_basis = buchberger(gens)
             for swap in _DIAGONAL_SWAPS:
-                assignment = {v: _renamed(e, swap) for v, e in seed.assignment}
-                assert assignment != dict(seed.assignment)
-                state = _Search(
-                    variables,
-                    relation_constraints(ambient),
-                    2 * len(variables),
-                    gens,
-                    ideal_basis,
-                    Deadline.unlimited(),
-                    DEFAULT_DEGREE_CAP,
-                )
-                used = {e: v for v, e in assignment.items()}
-                assert state.dfs(assignment, used, 4, 0) is None
+                state = _Search(ambient, Deadline.unlimited(), DEFAULT_DEGREE_CAP)
+                for v, e in seed.assignment:
+                    state.assign(v, _renamed(e, swap))
+                assert state.snapshot() != seed.assignment
+                assert state.dfs(0) is None
                 assert Counter(e.kind for e in state.trace) == expected
+                # the state is consistent after the refutation: used inverts
+                # the assignment, the trail lists each assigned variable once,
+                # and fresh vertices start above every assigned edge
+                assert state.used == {e: v for v, e in state.assignment.items()}
+                assert len(state.trail) == len(state.assignment)
+                assert set(state.trail) == set(state.assignment)
+                assert state.fresh[-1] == 1 + max(e[1] for e in state.assignment.values())

@@ -183,6 +183,8 @@ class TestBuchberger:
         a = buchberger(generators(s_tetromino))
         b = buchberger(generators(s_tetromino))
         assert tuple(a) == tuple(b)
+        # sorted by the order's key; saturate and toric_ideal_of_map rely on it
+        assert list(a) == sorted(a, key=lambda g: g.sort_key(LEX))
 
 
 class TestQuadraticCondition:
