@@ -10,6 +10,7 @@ search, and a survey workbench.
 from .binomials import (
     LEX,
     Binomial,
+    GradedRevlex,
     Monomial,
     MonomialOrder,
     Var,
@@ -57,6 +58,7 @@ from .toric import (
     exponent_lattice,
     is_prime,
     is_saturated_lattice,
+    revlex_basis,
     saturate,
     toric_ideal_of_map,
 )

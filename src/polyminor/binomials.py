@@ -19,6 +19,7 @@ __all__ = [
     "ONE",
     "MonomialOrder",
     "LEX",
+    "GradedRevlex",
     "Binomial",
     "inner_minor",
     "generators",
@@ -33,8 +34,8 @@ class Var(NamedTuple):
 
     rank 0 variables are indexed by lattice points and ordered by (i, j)
     tuple comparison, so x_(i,j) > x_(k,l) iff i > k, or i = k and j > l.
-    rank 1 variables are auxiliary (elimination targets, saturation
-    markers) and sit above every rank 0 variable.
+    rank 1 variables are auxiliary (graph vertices, elimination targets)
+    and sit above every rank 0 variable.
     """
 
     rank: int
@@ -175,7 +176,8 @@ class MonomialOrder:
 
     Auxiliary variables rank above point variables and point variables
     compare by (i, j), so this single order serves both as the base lex
-    order and as an elimination order for the auxiliary block.
+    order and as an elimination order for the auxiliary block.  A
+    subclass defines another order by overriding key.
     """
 
     __slots__ = ("tag",)
@@ -204,6 +206,35 @@ class MonomialOrder:
 
 
 LEX = MonomialOrder("lex")
+
+
+class GradedRevlex(MonomialOrder):
+    """Graded reverse-lex order over an explicit variable sequence.
+
+    The sequence runs from the largest variable to the smallest.  Higher
+    degree is larger; at equal degree the monomial with the smaller
+    exponent on the last variable where the two differ is larger.  Every
+    variable of a compared monomial must be in the sequence.
+    """
+
+    __slots__ = ("variables", "_slot")
+
+    def __init__(self, variables: Iterable[Var]) -> None:
+        super().__init__("grevlex")
+        variables = tuple(variables)
+        object.__setattr__(self, "variables", variables)
+        # key position of each variable: the last one is compared first
+        object.__setattr__(
+            self, "_slot", {v: len(variables) - k for k, v in enumerate(variables)}
+        )
+
+    def key(self, m: Monomial) -> tuple:
+        """Degree, then the negated exponents from the last variable back."""
+        key = [0] * (len(self.variables) + 1)
+        for v, e in m.exps:
+            key[0] += e
+            key[self._slot[v]] = -e
+        return tuple(key)
 
 
 class Binomial:

@@ -45,6 +45,7 @@ from .groebner import (
 from .toric import (
     IntegerMatrix,
     MonomialMap,
+    PrimalityCertificate,
     exponent_lattice,
     is_prime,
     toric_ideal_of_map,
@@ -173,12 +174,19 @@ def verify_representation(
 
 def _prime_lattice_rank(
     gens: tuple[Binomial, ...],
+    certificate: PrimalityCertificate | None = None,
     *,
     degree_cap: int = DEFAULT_DEGREE_CAP,
     deadline: Deadline | None = None,
 ) -> int | None:
-    """Rank of the ideal's exponent lattice when the ideal is prime, else None."""
-    if not is_prime(gens, degree_cap=degree_cap, deadline=deadline).is_prime:
+    """Rank of the ideal's exponent lattice when the ideal is prime, else None.
+
+    certificate, when given, is the ideal's is_prime certificate, which
+    is then not computed again.
+    """
+    if certificate is None:
+        certificate = is_prime(gens, degree_cap=degree_cap, deadline=deadline)
+    if not certificate.is_prime:
         return None
     return exponent_lattice(gens).rank
 
@@ -290,7 +298,11 @@ class _Search:
     """
 
     def __init__(
-        self, collection: CellCollection, deadline: Deadline, degree_cap: int
+        self,
+        collection: CellCollection,
+        deadline: Deadline,
+        degree_cap: int,
+        certificate: PrimalityCertificate | None = None,
     ) -> None:
         self.variables = tuple(sorted(point_var(p) for p in collection.vertex_set))
         self.constraints = relation_constraints(collection)
@@ -307,6 +319,7 @@ class _Search:
         )
         self.deadline = deadline
         self.degree_cap = degree_cap
+        self.certificate = certificate
         self.assignment: dict[Var, GEdge] = {}
         self.used: dict[GEdge, Var] = {}
         self.trail: list[Var] = []
@@ -469,7 +482,10 @@ class _Search:
     @cached_property
     def prime_rank(self) -> int | None:
         return _prime_lattice_rank(
-            self.gens, degree_cap=self.degree_cap, deadline=self.deadline
+            self.gens,
+            self.certificate,
+            degree_cap=self.degree_cap,
+            deadline=self.deadline,
         )
 
     def verify_full(self, depth: int) -> GraphLabeling | None:
@@ -562,6 +578,7 @@ def search_labeling(
     *,
     deadline: Deadline | None = None,
     degree_cap: int = DEFAULT_DEGREE_CAP,
+    _certificate: PrimalityCertificate | None = None,
 ) -> RepVerdict:
     """Exhaustive search for a representing edge labeling.
 
@@ -580,8 +597,14 @@ def search_labeling(
     parameter: a labeling has one edge per point, so up to renaming its
     vertices all lie below the cap, and an exhausted search is therefore
     a proof of non-representability.
+
+    _certificate is private to the package: survey_row passes the
+    is_prime certificate of the collection's generators it has already
+    computed, so the accept test does not compute it again.
     """
-    state = _Search(collection, deadline or Deadline.unlimited(), degree_cap)
+    state = _Search(
+        collection, deadline or Deadline.unlimited(), degree_cap, _certificate
+    )
     seed = max(
         state.constraints,
         key=lambda c: (sum(len(state.by_var[s]) for s in c.slots), -c.index),

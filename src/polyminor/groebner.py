@@ -178,19 +178,17 @@ def buchberger(
     """
     deadline = deadline or Deadline.unlimited()
     basis = _prepare(gens, order)
+    # one sort key per element, shared by every pair it is in
+    sort_keys = [g.sort_key(order) for g in basis]
     pairs: list[tuple] = []
 
     def push_pairs(j: int) -> None:
         g = basis[j]
+        g_key = sort_keys[j]
         for i in range(j):
             f = basis[i]
             lcm = f.plus.lcm(g.plus)
-            key = (
-                lcm.degree,
-                order.key(lcm),
-                f.sort_key(order),
-                g.sort_key(order),
-            )
+            key = (lcm.degree, order.key(lcm), sort_keys[i], g_key)
             heapq.heappush(pairs, (key, i, j))
 
     for j in range(len(basis)):
@@ -212,6 +210,7 @@ def buchberger(
         if h.degree > degree_cap:
             raise DegreeCapExceeded(h, degree_cap)
         basis.append(h)
+        sort_keys.append(h.sort_key(order))
         push_pairs(len(basis) - 1)
 
     reduced = _autoreduce(basis, order)

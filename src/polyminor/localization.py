@@ -31,10 +31,10 @@ from .geometry import (
 from .groebner import (
     DEFAULT_DEGREE_CAP,
     Deadline,
-    GroebnerBasis,
     buchberger,
     ideal_membership,
 )
+from .toric import revlex_basis
 
 __all__ = [
     "CornerTriple",
@@ -140,18 +140,19 @@ def nonzerodivisor_check(
     degree_cap: int = DEFAULT_DEGREE_CAP,
     deadline: Deadline | None = None,
 ) -> bool:
-    """Whether the corner variable misses every initial term of the reduced basis.
+    """Whether the corner variable is a nonzerodivisor on the quotient.
 
-    That suffices for the corner variable to be a nonzerodivisor on the
-    quotient.  The corner defaults to the upper-left corner of the
+    It is exactly when it divides no initial term of the reduced graded
+    reverse-lex basis that has the corner variable last, since the ideal
+    is homogeneous.  The corner defaults to the upper-left corner of the
     collection's bounding box.
     """
     if corner is None:
         box = ambient.bounding_interval()
         corner = Point(box.lower_left.i, box.upper_right.j)
     cvar = point_var(corner)
-    basis = buchberger(
-        generators(ambient), LEX, degree_cap=degree_cap, deadline=deadline
+    basis = revlex_basis(
+        generators(ambient), (cvar,), degree_cap=degree_cap, deadline=deadline
     )
     return all(g.plus.exponent(cvar) == 0 for g in basis)
 

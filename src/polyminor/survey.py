@@ -64,7 +64,11 @@ def survey_row(
     budget_seconds: float | None = DEFAULT_ROW_BUDGET,
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> SurveyRow:
-    """Classify one collection; the budget covers the whole row."""
+    """Classify one collection; the budget covers the whole row.
+
+    The row's primality certificate is handed to the graph search, so
+    the row computes it once.
+    """
     deadline = Deadline.after_seconds(budget_seconds)
     certificate: PrimalityCertificate | None = None
     prime: bool | None = None
@@ -80,7 +84,10 @@ def survey_row(
     graph_status = "timeout"
     try:
         verdict = search_labeling(
-            collection, deadline=deadline, degree_cap=degree_cap
+            collection,
+            deadline=deadline,
+            degree_cap=degree_cap,
+            _certificate=certificate,
         )
         graph_status = verdict.status
     except (BudgetExceeded, DegreeCapExceeded):

@@ -4,18 +4,28 @@ Such an ideal is prime over fields where it behaves torically exactly
 when two separate facts hold: the exponent lattice of its generators is
 saturated in the ambient integer lattice (no torsion quotient), and the
 ideal already equals its saturation with respect to the product of all
-variables.  Both checks are exact integer computations.
+variables, that is, every variable is a nonzerodivisor on the quotient.
+Both checks are exact integer computations.
+
+The second check needs no elimination.  For a homogeneous ideal and a
+graded reverse-lex basis with x last, x is a nonzerodivisor exactly when
+it divides no leading term, and dividing every element by the power of x
+in its leading term gives a basis of I : x^oo (Bayer-Stillman; Sturmfels,
+"Groebner Bases and Convex Polytopes", Lemma 12.1).  For any order, a
+variable missing from every leading term is a nonzerodivisor, so one
+basis can certify several variables at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
-from .binomials import LEX, ONE, Binomial, Monomial, Var, aux_var
+from .binomials import LEX, Binomial, GradedRevlex, Monomial, Var
 from .groebner import (
     DEFAULT_DEGREE_CAP,
     Deadline,
+    GroebnerBasis,
     buchberger,
     ideal_membership,
 )
@@ -28,13 +38,11 @@ __all__ = [
     "exponent_lattice",
     "elementary_divisors",
     "is_saturated_lattice",
+    "revlex_basis",
     "saturate",
     "is_prime",
     "toric_ideal_of_map",
 ]
-
-SATURATION_MARKER = aux_var("m", 0)
-
 
 @dataclass(frozen=True)
 class IntegerMatrix:
@@ -191,29 +199,71 @@ def is_saturated_lattice(matrix: IntegerMatrix) -> tuple[bool, TorsionWitness | 
     return True, None
 
 
+def revlex_basis(
+    gens: Iterable[Binomial],
+    last: Sequence[Var],
+    *,
+    degree_cap: int = DEFAULT_DEGREE_CAP,
+    deadline: Deadline | None = None,
+) -> GroebnerBasis:
+    """Reduced basis under the graded reverse-lex order that ends with `last`.
+
+    The other variables of the generators come first, in descending
+    order, then `last` in its own order, so its final entry is the
+    smallest variable.  The generators must be homogeneous, which every
+    inner-minor ideal is: only then does the basis decide whether that
+    variable is a nonzerodivisor.
+    """
+    gens = list(gens)
+    for g in gens:
+        if g.plus.degree != g.minus.degree:
+            raise ValueError(f"{g!r} is not homogeneous")
+    head = sorted({v for g in gens for v in g.vars()} - set(last), reverse=True)
+    order = GradedRevlex(head + list(last))
+    return buchberger(gens, order, degree_cap=degree_cap, deadline=deadline)
+
+
+def _saturation(
+    gens: list[Binomial], *, degree_cap: int, deadline: Deadline | None
+) -> tuple[list[Binomial], bool]:
+    """Generators of I : (product of all variables)^oo, and whether it is I.
+
+    Greedy: take the revlex basis with the uncertified variables last
+    and a candidate v last of all.  Every variable missing from all
+    leading terms is certified a nonzerodivisor.  If v leads, dividing
+    each element by the power of v in its leading term saturates by v.
+    Saturations commute, so certified variables stay nonzerodivisors,
+    and v is one after its saturation.
+    """
+    current = gens
+    pending = sorted({v for g in gens for v in g.vars()}, reverse=True)
+    equal = True
+    while pending:
+        basis = revlex_basis(current, pending, degree_cap=degree_cap, deadline=deadline)
+        leading = {v for g in basis for v in g.plus.vars()}
+        v = pending.pop()
+        if v in leading:
+            equal = False
+            current = []
+            for g in basis:
+                power = Monomial(((v, g.plus.exponent(v)),))
+                current.append(Binomial(g.plus.div(power), g.minus.div(power)))
+        pending = [w for w in pending if w in leading]
+    return current, equal
+
+
 def saturate(
     gens: Iterable[Binomial],
     *,
     degree_cap: int = DEFAULT_DEGREE_CAP,
     deadline: Deadline | None = None,
 ) -> tuple[Binomial, ...]:
-    """Generators of the saturation of the ideal by the product of all variables.
+    """Reduced LEX basis of the saturation by the product of all variables.
 
-    One variable at a time: adjoin the relation marker * variable = 1,
-    compute an elimination basis, and keep the marker-free part.  Because
-    saturating by one variable preserves saturation by those already
-    processed, a single pass over the variables is stable.
+    The generators must be homogeneous; see _saturation.
     """
-    current = [g.oriented(LEX) for g in gens]
-    support = sorted({v for g in current for v in g.vars()})
-    marker_mon = Monomial(((SATURATION_MARKER, 1),))
-    for v in support:
-        adjoined = current + [
-            Binomial(marker_mon.mul(Monomial(((v, 1),))), ONE)
-        ]
-        basis = buchberger(adjoined, LEX, degree_cap=degree_cap, deadline=deadline)
-        current = [g for g in basis if SATURATION_MARKER not in g.vars()]
-    return tuple(current)
+    current, _ = _saturation(list(gens), degree_cap=degree_cap, deadline=deadline)
+    return buchberger(current, LEX, degree_cap=degree_cap, deadline=deadline).elements
 
 
 @dataclass(frozen=True)
@@ -239,24 +289,26 @@ def is_prime(
     """Certify primality of the ideal generated by differences of monomials.
 
     Prime exactly when the exponent lattice is saturated and the ideal
-    equals its saturation by the product of all variables; the witness on
-    failure is a torsion vector or a saturation element outside the ideal.
+    equals its saturation by the product of all variables, which revlex
+    bases certify variable by variable (see the module docstring); the
+    generators must be homogeneous.  The witness on failure is a torsion
+    vector, or the first element of the saturation's LEX basis outside
+    the ideal.
     """
     gens = list(gens)
     if not gens:
         return PrimalityCertificate("prime", True, True, None)
     lattice_ok, torsion = is_saturated_lattice(exponent_lattice(gens))
-    saturated = saturate(gens, degree_cap=degree_cap, deadline=deadline)
-    basis = buchberger(gens, LEX, degree_cap=degree_cap, deadline=deadline)
-    gap: Binomial | None = None
-    for f in saturated:
-        if not ideal_membership(f, basis):
-            gap = f
-            break
-    saturation_equal = gap is None
+    saturated, saturation_equal = _saturation(
+        gens, degree_cap=degree_cap, deadline=deadline
+    )
     if lattice_ok and saturation_equal:
         return PrimalityCertificate("prime", True, True, None)
-    witness: Binomial | TorsionWitness | None = torsion if not lattice_ok else gap
+    witness: Binomial | TorsionWitness | None = torsion
+    if lattice_ok:
+        saturated = buchberger(saturated, LEX, degree_cap=degree_cap, deadline=deadline)
+        basis = buchberger(gens, LEX, degree_cap=degree_cap, deadline=deadline)
+        witness = next(f for f in saturated if not ideal_membership(f, basis))
     return PrimalityCertificate("not_prime", lattice_ok, saturation_equal, witness)
 
 

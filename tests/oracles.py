@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 
+from polyminor.binomials import LEX, ONE, Binomial, Monomial, aux_var
 from polyminor.geometry import (
     Cell,
     CellCollection,
@@ -18,7 +19,13 @@ from polyminor.geometry import (
     is_convex,
     is_polyomino,
 )
+from polyminor.groebner import buchberger, ideal_membership
 from polyminor.localization import localization_hypotheses
+from polyminor.toric import (
+    PrimalityCertificate,
+    exponent_lattice,
+    is_saturated_lattice,
+)
 
 
 def naive_connected(cells: frozenset[tuple[int, int]]) -> bool:
@@ -186,3 +193,40 @@ def localization_family() -> list[tuple[Interval, CellCollection]]:
                         continue
                     instances.append((bounding, inner))
     return instances
+
+
+def marker_saturate(gens, variables=None) -> tuple[Binomial, ...]:
+    """Saturation by the product of the variables, by elimination.
+
+    The variables default to all of those in the generators.  One
+    variable v at a time: adjoin marker * v - 1, compute a LEX basis (the
+    auxiliary marker ranks above every point variable, so LEX eliminates
+    it) and keep the marker-free part.  Works for any binomials,
+    homogeneous or not.
+    """
+    marker = aux_var("m", 0)
+    current = [g.oriented(LEX) for g in gens]
+    if variables is None:
+        variables = {v for g in current for v in g.vars()}
+    for v in sorted(variables):
+        relation = Binomial(Monomial(((marker, 1), (v, 1))), ONE)
+        basis = buchberger(current + [relation], LEX)
+        current = [g for g in basis if marker not in g.vars()]
+    return tuple(current)
+
+
+def marker_primality(gens) -> tuple[tuple[Binomial, ...], PrimalityCertificate]:
+    """marker_saturate of the generators and the primality certificate from it."""
+    gens = list(gens)
+    saturated = marker_saturate(gens)
+    if not gens:
+        return saturated, PrimalityCertificate("prime", True, True, None)
+    lattice_ok, torsion = is_saturated_lattice(exponent_lattice(gens))
+    basis = buchberger(gens, LEX)
+    gap = next((f for f in saturated if not ideal_membership(f, basis)), None)
+    if lattice_ok and gap is None:
+        return saturated, PrimalityCertificate("prime", True, True, None)
+    witness = torsion if not lattice_ok else gap
+    return saturated, PrimalityCertificate(
+        "not_prime", lattice_ok, gap is None, witness
+    )

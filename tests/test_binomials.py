@@ -6,6 +6,7 @@ from polyminor.binomials import (
     LEX,
     ONE,
     Binomial,
+    GradedRevlex,
     Monomial,
     Var,
     aux_var,
@@ -116,6 +117,33 @@ class TestLexOrder:
         ordered = sorted(ms, key=LEX.key)
         assert ordered[0] == mono(x(0, 1))
         assert ordered[-1] == mono(x(2, 0))
+
+
+class TestGradedRevlex:
+    def test_degree_three_variables(self):
+        # the textbook grevlex list with x > y > z
+        a, b, c = x(0, 2), x(0, 1), x(0, 0)
+        order = GradedRevlex((a, b, c))
+        listed = [
+            mono(a, a), mono(a, b), mono(b, b), mono(a, c), mono(b, c), mono(c, c)
+        ]
+        assert sorted(listed, key=order.key, reverse=True) == listed
+        assert order.cmp(mono(c, c, c), mono(a, a)) > 0
+
+    def test_last_variable_is_smallest(self):
+        # sequence order, not the variable order, decides
+        a, b = x(0, 0), x(3, 3)
+        assert GradedRevlex((a, b)).cmp(mono(a), mono(b)) > 0
+        assert GradedRevlex((b, a)).cmp(mono(a), mono(b)) < 0
+
+    @given(monomial_strategy(), monomial_strategy())
+    @settings(max_examples=100)
+    def test_respects_multiplication(self, a, b):
+        order = GradedRevlex(x(i, j) for i in range(6) for j in range(6))
+        c = order.cmp(a, b)
+        m = mono(x(2, 2), x(0, 1))
+        assert order.cmp(a.mul(m), b.mul(m)) == c
+        assert (c == 0) == (a == b)
 
 
 class TestBinomial:

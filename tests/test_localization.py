@@ -1,7 +1,8 @@
 import pytest
 
-from polyminor.binomials import generators
+from polyminor.binomials import LEX, generators, point_var
 from polyminor.geometry import Cell, CellCollection, Interval, Point, Polyomino, complement
+from polyminor.groebner import buchberger, ideal_membership
 from polyminor.localization import (
     CornerTriple,
     construct_p_prime,
@@ -10,6 +11,8 @@ from polyminor.localization import (
     localization_hypotheses,
     verify_localization,
 )
+
+from oracles import marker_saturate
 
 FRAME_BOUNDING = Interval(Point(0, 0), Point(3, 3))
 FRAME_HOLE = CellCollection([(1, 1)])
@@ -83,6 +86,19 @@ class TestNonzerodivisor:
 
     def test_explicit_corner(self, frame):
         assert nonzerodivisor_check(frame, corner=Point(0, 3))
+
+    def test_exact_on_every_vertex(self):
+        # four cells around an empty centre, where x(1,1) is a zerodivisor
+        cross = CellCollection([(0, 1), (1, 0), (1, 2), (2, 1)])
+        gens = generators(cross)
+        basis = buchberger(gens, LEX)
+        verdicts = {}
+        for p in sorted(cross.vertex_set):
+            colon = marker_saturate(gens, [point_var(p)])
+            regular = all(ideal_membership(f, basis) for f in colon)
+            verdicts[p] = nonzerodivisor_check(cross, p)
+            assert verdicts[p] == regular, p
+        assert verdicts[Point(1, 1)] is False
 
 
 class TestConstructPPrime:

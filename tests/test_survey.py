@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -53,6 +54,24 @@ class TestSurveyRow:
         assert row.quadratic_gb is False
         assert row.prime is True
         assert row.graph_rep == "representable"
+
+    def test_certifies_primality_once(self, block_2x2, monkeypatch):
+        # the package exports a function named survey, hiding the module
+        survey_module = importlib.import_module("polyminor.survey")
+        graphrep = importlib.import_module("polyminor.graphrep")
+        calls = []
+        original = survey_module.is_prime
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(survey_module, "is_prime", counting)
+        monkeypatch.setattr(graphrep, "is_prime", counting)
+        row = survey_row(block_2x2, budget_seconds=None)
+        assert row.prime is True
+        assert row.graph_rep == "representable"
+        assert len(calls) == 1
 
     def test_starved_budget_times_out(self, frame):
         row = survey_row(frame, budget_seconds=0.0)

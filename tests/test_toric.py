@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyminor.binomials import (
+    LEX,
     Binomial,
     Monomial,
     aux_var,
@@ -12,7 +13,9 @@ from polyminor.binomials import (
     inner_minor,
     point_var,
 )
-from polyminor.geometry import Interval, Point
+from polyminor.enumeration import enumerate_polyominoes
+from polyminor.geometry import Interval, Point, Polyomino, complement
+from polyminor.groebner import buchberger, ideal_membership
 from polyminor.toric import (
     IntegerMatrix,
     MonomialMap,
@@ -21,11 +24,18 @@ from polyminor.toric import (
     exponent_lattice,
     is_prime,
     is_saturated_lattice,
+    revlex_basis,
     saturate,
     toric_ideal_of_map,
 )
 
-from oracles import sympy_rank, sympy_smith_divisors
+from oracles import (
+    frame_shape,
+    localization_family,
+    marker_primality,
+    sympy_rank,
+    sympy_smith_divisors,
+)
 
 
 def x(i, j):
@@ -157,6 +167,69 @@ class TestSaturate:
 
     def test_empty(self):
         assert saturate([]) == ()
+
+
+def differential_inputs():
+    """Named generator lists on which saturate and is_prime meet the oracle."""
+    cases = []
+    for n in range(1, 5):
+        for shape in enumerate_polyominoes(n):
+            cases.append((f"{n} cells {sorted(shape.cells)}", generators(shape)))
+    for name, cells in (
+        ("row of 5", [(i, 0) for i in range(5)]),
+        ("column of 5", [(0, j) for j in range(5)]),
+    ):
+        cases.append((name, generators(Polyomino(cells))))
+    cases.append(("frame", generators(frame_shape())))
+    for bounding, inner in localization_family():
+        cases.append(
+            (f"{bounding} minus {sorted(inner.cells)}",
+             generators(complement(bounding, inner)))
+        )
+    a, b, c = x(1, 0), x(0, 1), x(0, 0)
+    cases.append(("xy - xz", [Binomial.make(mono(a, b), mono(a, c))]))
+    cases.append(("x^2 - y^2", [Binomial.make(mono(c, c), mono(b, b))]))
+    return cases
+
+
+class TestAgainstMarkerElimination:
+    """The revlex saturation against one elimination per variable."""
+
+    def test_saturate_and_certificate_match(self):
+        cases = differential_inputs()
+        assert len(cases) == 28 + 2 + 1 + 20 + 2
+        for name, gens in cases:
+            saturated, certificate = marker_primality(gens)
+            assert saturate(gens) == saturated, name
+            assert is_prime(gens) == certificate, name
+
+
+class TestRevlexBasis:
+    def test_zerodivisor_leads(self):
+        # x(y - z) lies in the ideal and y - z does not, so x is a zerodivisor
+        a, b, c = x(1, 0), x(0, 1), x(0, 0)
+        gens = [Binomial.make(mono(a, b), mono(a, c))]
+        assert not ideal_membership(
+            Binomial.make(mono(b), mono(c)), buchberger(gens, LEX)
+        )
+        assert any(g.plus.exponent(a) for g in revlex_basis(gens, (a,)))
+        for v in (b, c):
+            assert all(g.plus.exponent(v) == 0 for g in revlex_basis(gens, (v,)))
+
+    def test_last_variable_is_smallest(self, frame):
+        v = x(0, 0)
+        basis = revlex_basis(generators(frame), (v,))
+        assert basis.order.variables[-1] == v
+        assert len(set(basis.order.variables)) == 16
+
+    def test_non_homogeneous_rejected(self):
+        f = Binomial.make(mono(x(1, 0)), mono(x(0, 0), x(0, 0)))
+        with pytest.raises(ValueError, match="not homogeneous"):
+            revlex_basis([f], (x(0, 0),))
+        with pytest.raises(ValueError, match="not homogeneous"):
+            is_prime([f])
+        with pytest.raises(ValueError, match="not homogeneous"):
+            saturate([f])
 
 
 class TestPrimality:
