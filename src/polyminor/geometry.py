@@ -360,25 +360,20 @@ def inner_intervals(collection: CellCollection) -> tuple[Interval, ...]:
     """All intervals whose every cell belongs to the collection.
 
     Ordered canonically by (lower_left, upper_right); includes the unit
-    cells themselves.
+    cells themselves.  Each corner cell walks up its column, narrowing to
+    the shortest row run seen, so the cost is cells plus intervals.
     """
-    if not collection.cells:
-        return ()
-    cells = collection.cells
-    box = collection.bounding_interval()
-    lo, hi = box.lower_left, box.upper_right
+    # run[c]: length of the horizontal run of member cells starting at c
+    run: dict[Cell, int] = {}
+    for c in sorted(collection.cells, reverse=True):
+        run[c] = run.get(Cell(c.i + 1, c.j), 0) + 1
     found = []
-    for ai in range(lo.i, hi.i):
-        for aj in range(lo.j, hi.j):
-            if Cell(ai, aj) not in cells:
-                continue  # the corner cell is the cheapest rejection
-            for bi in range(ai + 1, hi.i + 1):
-                for bj in range(aj + 1, hi.j + 1):
-                    if all(
-                        Cell(x, y) in cells
-                        for x in range(ai, bi)
-                        for y in range(aj, bj)
-                    ):
-                        found.append(Interval(Point(ai, aj), Point(bi, bj)))
+    for (ai, aj), width in run.items():
+        a = Point(ai, aj)
+        bj = aj + 1
+        while width:
+            found.extend(Interval(a, Point(ai + w, bj)) for w in range(1, width + 1))
+            width = min(width, run.get(Cell(ai, bj), 0))
+            bj += 1
     found.sort(key=lambda iv: (iv.lower_left, iv.upper_right))
     return tuple(found)

@@ -141,11 +141,14 @@ def _prepare(gens: Iterable[Binomial], order: MonomialOrder) -> list[Binomial]:
     return out
 
 
-def _autoreduce(elements: list[Binomial], order: MonomialOrder) -> list[Binomial]:
+def _autoreduce(
+    elements: list[Binomial], order: MonomialOrder, deadline: Deadline
+) -> list[Binomial]:
     """Inter-reduce until every element is in normal form modulo the rest."""
     basis = _prepare(elements, order)
     changed = True
     while changed:
+        deadline.check("Groebner basis inter-reduction")
         changed = False
         for idx, g in enumerate(basis):
             rest = basis[:idx] + basis[idx + 1 :]
@@ -173,21 +176,24 @@ def buchberger(
 
     Pair selection is by smallest lcm (degree, then the order's key on the
     lcm, then the pair's serialization), pairs with coprime initial terms
-    are skipped, and the final basis is auto-reduced, so the result is a
-    deterministic function of the generated ideal and the order.
+    are never queued, and the final basis is auto-reduced, so the result
+    is a deterministic function of the generated ideal and the order.
     """
     deadline = deadline or Deadline.unlimited()
     basis = _prepare(gens, order)
-    # one sort key per element, shared by every pair it is in
+    # per element: its sort key and initial-term variables, shared by its pairs
     sort_keys = [g.sort_key(order) for g in basis]
+    lead_vars = [frozenset(g.plus.vars()) for g in basis]
     pairs: list[tuple] = []
 
     def push_pairs(j: int) -> None:
         g = basis[j]
         g_key = sort_keys[j]
+        g_vars = lead_vars[j]
         for i in range(j):
-            f = basis[i]
-            lcm = f.plus.lcm(g.plus)
+            if g_vars.isdisjoint(lead_vars[i]):
+                continue
+            lcm = basis[i].plus.lcm(g.plus)
             key = (lcm.degree, order.key(lcm), sort_keys[i], g_key)
             heapq.heappush(pairs, (key, i, j))
 
@@ -198,10 +204,7 @@ def buchberger(
     while pairs:
         deadline.check("Groebner basis computation")
         (_, i, j) = heapq.heappop(pairs)
-        f, g = basis[i], basis[j]
-        if f.plus.gcd(g.plus).is_one():
-            continue
-        s = s_pair(f, g, order)
+        s = s_pair(basis[i], basis[j], order)
         if s is None:
             continue
         h = reduce(s, basis, order)
@@ -211,9 +214,10 @@ def buchberger(
             raise DegreeCapExceeded(h, degree_cap)
         basis.append(h)
         sort_keys.append(h.sort_key(order))
+        lead_vars.append(frozenset(h.plus.vars()))
         push_pairs(len(basis) - 1)
 
-    reduced = _autoreduce(basis, order)
+    reduced = _autoreduce(basis, order, deadline)
     return GroebnerBasis(order.tag, tuple(reduced), order)
 
 

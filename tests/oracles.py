@@ -60,14 +60,20 @@ def naive_fixed_polyominoes(n: int) -> set[frozenset[tuple[int, int]]]:
     return out
 
 
-def naive_inner_intervals(shape: Polyomino) -> set[tuple[Point, Point]]:
-    """Intervals whose every cell lies in the shape, by scanning corner pairs."""
-    cells = {(c.i, c.j) for c in shape}
+def naive_inner_intervals(collection: CellCollection) -> tuple[Interval, ...]:
+    """Intervals whose every cell lies in the collection, by scanning corner pairs.
+
+    Tries every corner pair of the bounding box and returns the hits in the
+    canonical (lower_left, upper_right) order.
+    """
+    cells = {(c.i, c.j) for c in collection}
+    if not cells:
+        return ()
     lo_i = min(i for i, _ in cells)
     lo_j = min(j for _, j in cells)
     hi_i = max(i for i, _ in cells) + 1
     hi_j = max(j for _, j in cells) + 1
-    found = set()
+    found = []
     for a_i in range(lo_i, hi_i):
         for a_j in range(lo_j, hi_j):
             for b_i in range(a_i + 1, hi_i + 1):
@@ -78,8 +84,8 @@ def naive_inner_intervals(shape: Polyomino) -> set[tuple[Point, Point]]:
                         for j in range(a_j, b_j)
                     )
                     if inside:
-                        found.add((Point(a_i, a_j), Point(b_i, b_j)))
-    return found
+                        found.append((Point(a_i, a_j), Point(b_i, b_j)))
+    return tuple(Interval(a, b) for a, b in sorted(found))
 
 
 def naive_free_edges(shape: Polyomino) -> int:

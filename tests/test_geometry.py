@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -245,8 +248,52 @@ class TestInnerIntervals:
     @given(small_polyominoes())
     @settings(max_examples=40, deadline=None)
     def test_matches_oracle(self, shape):
-        got = {(iv.lower_left, iv.upper_right) for iv in inner_intervals(shape)}
-        assert got == naive_inner_intervals(shape)
+        assert inner_intervals(shape) == naive_inner_intervals(shape)
+
+    def test_every_collection_in_3x3_box(self):
+        box = [(i, j) for i in range(3) for j in range(3)]
+        for mask in range(1, 1 << len(box)):
+            chosen = CellCollection(c for k, c in enumerate(box) if mask >> k & 1)
+            assert inner_intervals(chosen) == naive_inner_intervals(chosen)
+
+    def test_random_collections_in_8x8_box(self):
+        rng = random.Random(20150213)
+        for _ in range(200):
+            density = rng.random()
+            chosen = CellCollection(
+                (i, j) for i in range(8) for j in range(8) if rng.random() < density
+            )
+            assert inner_intervals(chosen) == naive_inner_intervals(chosen)
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            # rings: a w x h box minus its interior
+            *(
+                [(i, j) for i in range(w) for j in range(h)
+                 if i in (0, w - 1) or j in (0, h - 1)]
+                for w, h in ((3, 3), (4, 3), (5, 5), (6, 4))
+            ),
+            # combs: a base row with teeth on every other column
+            [(i, 0) for i in range(7)] + [(i, j) for i in (0, 2, 4, 6) for j in (1, 2)],
+            [(0, j) for j in range(6)] + [(i, j) for j in (0, 3, 5) for i in (1, 2, 3)],
+            # staircases, rising and falling
+            [(k + d, k) for k in range(6) for d in (0, 1)],
+            [(k + d, 6 - k) for k in range(6) for d in (0, 1)],
+            # two blocks far apart, away from the origin
+            [(7 + i, 3 + j) for i in range(2) for j in range(2)]
+            + [(27 + i, 18 + j) for i in range(3) for j in range(2)],
+        ],
+    )
+    def test_named_shapes(self, cells):
+        chosen = CellCollection(cells)
+        assert inner_intervals(chosen) == naive_inner_intervals(chosen)
+
+    def test_sparse_pair_is_fast(self):
+        start = time.monotonic()
+        ivs = inner_intervals(CellCollection([(0, 0), (3000, 3000)]))
+        assert time.monotonic() - start < 1.0
+        assert ivs == (Cell(0, 0).as_interval(), Cell(3000, 3000).as_interval())
 
     @given(small_polyominoes())
     @settings(max_examples=40, deadline=None)

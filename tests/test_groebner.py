@@ -8,12 +8,14 @@ from polyminor.binomials import (
     LEX,
     ONE,
     Binomial,
+    GradedRevlex,
     Monomial,
     generators,
     inner_minor,
     point_var,
 )
 from polyminor.geometry import Interval, Point, Polyomino
+import polyminor.groebner as groebner
 from polyminor.groebner import (
     BudgetExceeded,
     Deadline,
@@ -27,7 +29,14 @@ from polyminor.groebner import (
     s_pair,
 )
 
-from oracles import rewrite_monomial
+from oracles import frame_shape, naive_fixed_polyominoes, rewrite_monomial
+
+# every polyomino of at most four cells, plus the frame
+SMALL_SHAPES = [
+    Polyomino(cells)
+    for n in range(1, 5)
+    for cells in sorted(naive_fixed_polyominoes(n), key=sorted)
+] + [frame_shape()]
 
 
 def x(i, j):
@@ -170,14 +179,69 @@ class TestBuchberger:
         assert exc.value.element.degree == 4
 
     def test_deadline_raises(self, frame):
-        # the 6x6 rectangle has 441 generators and ~97k initial pairs, so the
-        # deadline must be honoured while the pair queue is still being built
+        # the 6x6 rectangle has 441 generators, and the deadline is checked
+        # once per generator while the pair queue is still being built
         rect_6x6 = Polyomino([(i, j) for i in range(6) for j in range(6)])
         for shape in (frame, rect_6x6):
             start = time.monotonic()
             with pytest.raises(BudgetExceeded):
                 buchberger(generators(shape), deadline=Deadline(at=start - 1))
             assert time.monotonic() - start < 0.5
+
+    def test_autoreduce_deadline_raises(self):
+        rect_5x5 = Polyomino([(i, j) for i in range(5) for j in range(5)])
+        with pytest.raises(BudgetExceeded):
+            groebner._autoreduce(
+                list(generators(rect_5x5)), LEX, Deadline(at=time.monotonic() - 1)
+            )
+
+    @pytest.mark.parametrize(
+        "cells, expected",
+        [
+            ([(0, 0), (0, 1), (1, 0), (1, 1)], 17),
+            ([(0, 0), (1, 0), (1, 1), (2, 1)], 17),
+            ([(i, j) for i in range(3) for j in range(3) if (i, j) != (1, 1)], 48),
+            ([(i, j) for i in range(5) for j in range(5)], 3200),
+        ],
+        ids=["block_2x2", "s_tetromino", "frame", "rect_5x5"],
+    )
+    def test_s_pair_call_count(self, monkeypatch, cells, expected):
+        # one S-pair per queued pair: those with coprime initial terms form none
+        calls = []
+
+        def counting_s_pair(f, g, order=LEX):
+            calls.append((f, g))
+            return s_pair(f, g, order)
+
+        monkeypatch.setattr(groebner, "s_pair", counting_s_pair)
+        buchberger(generators(Polyomino(cells)))
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize("order_name", ["lex", "grevlex"])
+    def test_matches_sympy(self, order_name):
+        import sympy
+
+        for shape in SMALL_SHAPES:
+            gens = generators(shape)
+            variables = sorted({v for g in gens for v in g.vars()}, reverse=True)
+            order = LEX if order_name == "lex" else GradedRevlex(variables)
+            symbols = [sympy.Symbol(f"x_{v.key[0]}_{v.key[1]}") for v in variables]
+            index = {v: k for k, v in enumerate(variables)}
+
+            def to_expr(m):
+                return sympy.Mul(*(symbols[index[v]] ** e for v, e in m.exps))
+
+            exprs = [to_expr(g.plus) - to_expr(g.minus) for g in gens]
+            expected = set()
+            for poly in sympy.groebner(exprs, *symbols, order=order_name).polys:
+                sides = {
+                    int(coeff): Monomial(zip(variables, exps))
+                    for exps, coeff in poly.terms()
+                }
+                assert sorted(sides) == [-1, 1]
+                expected.add((sides[1], sides[-1]))
+            got = {(g.plus, g.minus) for g in buchberger(gens, order)}
+            assert got == expected, shape
 
     def test_result_deterministic(self, s_tetromino):
         a = buchberger(generators(s_tetromino))
