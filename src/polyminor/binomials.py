@@ -201,11 +201,19 @@ class MonomialOrder:
             return 0
         return 1 if ka > kb else -1
 
+    def layout(self, variables: Iterable[Var]) -> tuple[Var, ...]:
+        """The variable of each byte of groebner's exponent vectors."""
+        return tuple(sorted(variables, reverse=True))
+
+    # laid out descending, the vectors compare as LEX; bytes(b) is b itself
+    vector_key = staticmethod(bytes)
+
     def __repr__(self) -> str:
         return f"MonomialOrder({self.tag})"
 
 
 LEX = MonomialOrder("lex")
+_COMPLEMENT = bytes(range(255, -1, -1))  # byte e to 255 - e, ordered as -e
 
 
 class GradedRevlex(MonomialOrder):
@@ -235,6 +243,12 @@ class GradedRevlex(MonomialOrder):
             key[0] += e
             key[self._slot[v]] = -e
         return tuple(key)
+
+    def layout(self, variables: Iterable[Var]) -> tuple[Var, ...]:
+        return self.variables[::-1]
+
+    # degree, then the exponents from the last variable back, complemented
+    vector_key = staticmethod(lambda b: (sum(b), b.translate(_COMPLEMENT)))
 
 
 class Binomial:

@@ -465,16 +465,15 @@ class _Search:
     # ---- full labeling verification ----------------------------------
 
     def _quadratic_witness(self) -> Binomial | None:
-        groups: dict[tuple[int, ...], list[Monomial]] = {}
+        groups: dict[tuple[int, ...], list[tuple[Var, Var]]] = {}
         for a_idx, a in enumerate(self.variables):
             for b in self.variables[a_idx:]:
                 key = _multiset(self.assignment[a], self.assignment[b])
-                groups.setdefault(key, []).append(Monomial.from_vars((a, b)))
+                groups.setdefault(key, []).append((a, b))
         for key in sorted(groups):
-            mons = groups[key]
-            first = mons[0]
-            for m in mons[1:]:
-                f = Binomial.make(first, m, LEX)
+            first, *rest = groups[key]
+            for pair in rest:
+                f = Binomial.make(Monomial.from_vars(first), Monomial.from_vars(pair), LEX)
                 if f is not None and not ideal_membership(f, self.ideal_basis):
                     return f
         return None

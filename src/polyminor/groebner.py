@@ -2,9 +2,9 @@
 
 S-polynomials and normal forms of such differences are again differences
 of monomials (possibly with one side equal to 1), so the whole algorithm
-runs on pairs of power products.  The computed reduced basis is unique
-for the given order, independent of generator ordering, and valid over
-every coefficient field at once.
+runs on pairs of byte exponent vectors, one byte per variable.  The
+reduced basis is unique for the given order, independent of generator
+ordering, and valid over every coefficient field at once.
 """
 
 from __future__ import annotations
@@ -12,9 +12,10 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
+from operator import add, ge, sub
 from typing import Iterable, Sequence
 
-from .binomials import LEX, Binomial, MonomialOrder
+from .binomials import LEX, Binomial, Monomial, MonomialOrder, Var
 from .geometry import CellCollection, inner_intervals
 
 __all__ = [
@@ -74,11 +75,13 @@ class Deadline:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced basis together with the order that produced it."""
+    """Reduced basis together with the order that produced it; see buchberger."""
 
     order_tag: str
     elements: tuple[Binomial, ...]
     order: MonomialOrder = field(compare=False, repr=False, default=LEX)
+    stats: dict[str, int] = field(compare=False, repr=False, default_factory=dict)
+    _vectors: _Vectors | None = field(compare=False, repr=False, default=None)
 
     def __iter__(self):
         return iter(self.elements)
@@ -90,14 +93,100 @@ class GroebnerBasis:
         return ideal_membership(f, self)
 
 
+EXPONENT_LIMIT = 255
+_SUPPORT = bytes([0]) + bytes([1]) * 255  # byte e to 1 when e > 0
+
+
+def _mask(b: bytes) -> int:
+    return int.from_bytes(b.translate(_SUPPORT), "little")
+
+
+def _shift(x: bytes, lead: bytes, tail: bytes) -> bytes:
+    """x / lead * tail, where lead divides x."""
+    try:
+        return bytes(map(add, map(sub, x, lead), tail))
+    except ValueError:
+        raise ValueError(f"an exponent would exceed {EXPONENT_LIMIT}") from None
+
+
+class _Vectors:
+    """Oriented binomials leads[k] - tails[k]; masks[k] is the support of leads[k]."""
+
+    __slots__ = ("variables", "index", "key", "leads", "tails", "masks")
+
+    def __init__(self, order: MonomialOrder, variables: Iterable[Var]) -> None:
+        self.variables = order.layout(variables)
+        self.index = {v: k for k, v in enumerate(self.variables)}
+        self.key = order.vector_key
+        self.leads, self.tails, self.masks = [], [], []
+
+    @classmethod
+    def of(cls, gens: Iterable[Binomial], order: MonomialOrder) -> _Vectors:
+        """The generators oriented, without repeats, sorted by the order."""
+        gens = list(gens)
+        vectors = cls(order, {v for g in gens for v in g.vars()})
+        oriented = {vectors.orient(*vectors.pair(g)) for g in gens}
+        for a, b in sorted(oriented, key=lambda ab: tuple(map(vectors.key, ab))):
+            vectors.append(a, b)
+        return vectors
+
+    def encode(self, m: Monomial) -> bytes:
+        vector = bytearray(len(self.variables))
+        for v, e in m.exps:
+            if e > EXPONENT_LIMIT:
+                raise ValueError(f"exponent {e} of {v!r} exceeds {EXPONENT_LIMIT}")
+            vector[self.index[v]] = e
+        return bytes(vector)
+
+    def pair(self, f: Binomial) -> tuple[bytes, bytes]:
+        return self.encode(f.plus), self.encode(f.minus)
+
+    def binomial(self, a: bytes, b: bytes) -> Binomial:
+        return Binomial(Monomial(zip(self.variables, a)), Monomial(zip(self.variables, b)))
+
+    def orient(self, a: bytes, b: bytes) -> tuple[bytes, bytes]:
+        return (a, b) if self.key(a) > self.key(b) else (b, a)
+
+    def append(self, lead: bytes, tail: bytes) -> None:
+        self.leads.append(lead)
+        self.tails.append(tail)
+        self.masks.append(_mask(lead))
+
+    def step(self, x: bytes) -> bytes | None:
+        """x rewritten by the first element whose lead divides it, else None."""
+        outside = ~_mask(x)
+        for k, mask in enumerate(self.masks):
+            if not mask & outside and all(map(ge, x, self.leads[k])):
+                return _shift(x, self.leads[k], self.tails[k])
+        return None
+
+    def normal_form(self, a: bytes, b: bytes) -> tuple[bytes, bytes] | None:
+        """Normal form of a - b (a the larger side) as in reduce; None when zero."""
+        while True:
+            if (x := self.step(a)) is not None:
+                a = x
+            elif (x := self.step(b)) is not None:
+                b = x
+            else:
+                return a, b
+            if a == b:
+                return None
+            a, b = self.orient(a, b)
+
+    def s_pair(self, i: int, j: int, lcm: bytes) -> tuple[bytes, bytes] | None:
+        """Oriented S-polynomial of elements i and j, or None when it vanishes."""
+        left = _shift(lcm, self.leads[j], self.tails[j])
+        right = _shift(lcm, self.leads[i], self.tails[i])
+        return None if left == right else self.orient(left, right)
+
+
 def s_pair(f: Binomial, g: Binomial, order: MonomialOrder = LEX) -> Binomial | None:
     """S-polynomial of two oriented binomials, or None when it vanishes."""
-    f = f.oriented(order)
-    g = g.oriented(order)
-    lcm = f.plus.lcm(g.plus)
-    left = lcm.div(g.plus).mul(g.minus)
-    right = lcm.div(f.plus).mul(f.minus)
-    return Binomial.make(left, right, order)
+    vectors = _Vectors(order, f.vars() | g.vars())
+    for h in (f, g):
+        vectors.append(*vectors.pair(h.oriented(order)))
+    s = vectors.s_pair(0, 1, bytes(map(max, *vectors.leads)))
+    return None if s is None else vectors.binomial(*s)
 
 
 def reduce(
@@ -110,59 +199,30 @@ def reduce(
     the order.
     """
     f = f.oriented(order)
-    a, b = f.plus, f.minus
-    while True:
-        for g in basis:
-            if g.plus.divides(a):
-                a = a.div(g.plus).mul(g.minus)
-                break
-        else:
-            for g in basis:
-                if g.plus.divides(b):
-                    b = b.div(g.plus).mul(g.minus)
-                    break
-            else:
-                return Binomial(a, b)
-        if a == b:
-            return None
-        if order.cmp(a, b) < 0:
-            a, b = b, a
+    vectors = _Vectors(order, f.vars().union(*(g.vars() for g in basis)))
+    for g in basis:
+        vectors.append(*vectors.pair(g))
+    h = vectors.normal_form(*vectors.pair(f))
+    return None if h is None else vectors.binomial(*h)
 
 
-def _prepare(gens: Iterable[Binomial], order: MonomialOrder) -> list[Binomial]:
-    seen = set()
-    out = []
-    for f in gens:
-        g = f.oriented(order)
-        if g not in seen:
-            seen.add(g)
-            out.append(g)
-    out.sort(key=lambda g: g.sort_key(order))
-    return out
+def _autoreduce(vectors: _Vectors, order: MonomialOrder, deadline: Deadline) -> _Vectors:
+    """The reduced basis of a Groebner basis, sorted by the order.
 
-
-def _autoreduce(
-    elements: list[Binomial], order: MonomialOrder, deadline: Deadline
-) -> list[Binomial]:
-    """Inter-reduce until every element is in normal form modulo the rest."""
-    basis = _prepare(elements, order)
-    changed = True
-    while changed:
+    Keeps, in ascending order, each lead no smaller kept lead divides, then
+    reduces the tails; the reduced basis is unique, whatever the choices.
+    """
+    leads = vectors.leads
+    reduced = _Vectors(order, vectors.variables)
+    for k in sorted(range(len(leads)), key=lambda k: vectors.key(leads[k])):
         deadline.check("Groebner basis inter-reduction")
-        changed = False
-        for idx, g in enumerate(basis):
-            rest = basis[:idx] + basis[idx + 1 :]
-            h = reduce(g, rest, order)
-            if h is None:
-                del basis[idx]
-                changed = True
-                break
-            if h != g:
-                basis[idx] = h
-                basis.sort(key=lambda e: e.sort_key(order))
-                changed = True
-                break
-    return basis
+        if reduced.step(leads[k]) is None:
+            reduced.append(leads[k], vectors.tails[k])
+    for k, tail in enumerate(reduced.tails):
+        while (x := reduced.step(tail)) is not None:
+            tail = x
+        reduced.tails[k] = tail
+    return reduced
 
 
 def buchberger(
@@ -178,47 +238,51 @@ def buchberger(
     lcm, then the pair's serialization), pairs with coprime initial terms
     are never queued, and the final basis is auto-reduced, so the result
     is a deterministic function of the generated ideal and the order.
+
+    Monomials are byte vectors, so no exponent may exceed 255
+    (EXPONENT_LIMIT): a larger one, given or formed, raises ValueError.
+    stats counts pairs queued and S-pairs formed (every queued pair is
+    formed), zero reductions, elements added, peak size and top degree.
     """
     deadline = deadline or Deadline.unlimited()
-    basis = _prepare(gens, order)
-    # per element: its sort key and initial-term variables, shared by its pairs
-    sort_keys = [g.sort_key(order) for g in basis]
-    lead_vars = [frozenset(g.plus.vars()) for g in basis]
+    vectors = _Vectors.of(gens, order)
+    key, leads, tails, masks = vectors.key, vectors.leads, vectors.tails, vectors.masks
+    # per element: its sort key, shared by its pairs
+    sort_keys = [(key(a), key(b)) for a, b in zip(leads, tails)]
+    given, formed = len(leads), 0
     pairs: list[tuple] = []
 
     def push_pairs(j: int) -> None:
-        g = basis[j]
-        g_key = sort_keys[j]
-        g_vars = lead_vars[j]
+        lead, mask, j_key = leads[j], masks[j], sort_keys[j]
         for i in range(j):
-            if g_vars.isdisjoint(lead_vars[i]):
-                continue
-            lcm = basis[i].plus.lcm(g.plus)
-            key = (lcm.degree, order.key(lcm), sort_keys[i], g_key)
-            heapq.heappush(pairs, (key, i, j))
+            if masks[i] & mask:
+                lcm = bytes(map(max, leads[i], lead))
+                heapq.heappush(pairs, ((sum(lcm), key(lcm), sort_keys[i], j_key), i, j, lcm))
 
-    for j in range(len(basis)):
+    for j in range(len(leads)):
         deadline.check("Groebner basis computation")
         push_pairs(j)
 
     while pairs:
         deadline.check("Groebner basis computation")
-        (_, i, j) = heapq.heappop(pairs)
-        s = s_pair(basis[i], basis[j], order)
-        if s is None:
-            continue
-        h = reduce(s, basis, order)
+        (_, i, j, lcm) = heapq.heappop(pairs)
+        formed += 1
+        s = vectors.s_pair(i, j, lcm)
+        h = None if s is None else vectors.normal_form(*s)
         if h is None:
             continue
-        if h.degree > degree_cap:
-            raise DegreeCapExceeded(h, degree_cap)
-        basis.append(h)
-        sort_keys.append(h.sort_key(order))
-        lead_vars.append(frozenset(h.plus.vars()))
-        push_pairs(len(basis) - 1)
+        if max(map(sum, h)) > degree_cap:
+            raise DegreeCapExceeded(vectors.binomial(*h), degree_cap)
+        vectors.append(*h)
+        sort_keys.append((key(h[0]), key(h[1])))
+        push_pairs(len(leads) - 1)
 
-    reduced = _autoreduce(basis, order, deadline)
-    return GroebnerBasis(order.tag, tuple(reduced), order)
+    stats = dict(pairs_queued=formed, s_pairs=formed, elements_added=len(leads) - given,
+                 peak_size=len(leads), max_degree=max(map(sum, leads + tails), default=0))
+    stats["zero_reductions"] = formed - stats["elements_added"]
+    reduced = _autoreduce(vectors, order, deadline)
+    elements = tuple(map(reduced.binomial, reduced.leads, reduced.tails))
+    return GroebnerBasis(order.tag, elements, order, stats, reduced)
 
 
 def quadratic_gb_condition(collection: CellCollection) -> bool:
@@ -250,7 +314,10 @@ def ideal_membership(f: Binomial, basis: GroebnerBasis) -> bool:
     f is re-oriented under the basis order before reduction, so callers
     may pass binomials normalized under any order.
     """
-    return reduce(f.oriented(basis.order), basis.elements, basis.order) is None
+    vectors = basis._vectors
+    if vectors is None or not f.vars() <= vectors.index.keys():
+        return reduce(f, basis.elements, basis.order) is None
+    return vectors.normal_form(*vectors.orient(*vectors.pair(f))) is None
 
 
 def ideal_equal(

@@ -7,9 +7,11 @@ desk-scale inputs.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from typing import Iterable, Sequence
 
-from polyminor.binomials import LEX, ONE, Binomial, Monomial, aux_var
+from polyminor.binomials import LEX, ONE, Binomial, Monomial, MonomialOrder, aux_var
 from polyminor.geometry import (
     Cell,
     CellCollection,
@@ -19,7 +21,14 @@ from polyminor.geometry import (
     is_convex,
     is_polyomino,
 )
-from polyminor.groebner import buchberger, ideal_membership
+from polyminor.groebner import (
+    DEFAULT_DEGREE_CAP,
+    Deadline,
+    DegreeCapExceeded,
+    GroebnerBasis,
+    buchberger,
+    ideal_membership,
+)
 from polyminor.localization import localization_hypotheses
 from polyminor.toric import (
     PrimalityCertificate,
@@ -236,3 +245,139 @@ def marker_primality(gens) -> tuple[tuple[Binomial, ...], PrimalityCertificate]:
     return saturated, PrimalityCertificate(
         "not_prime", lattice_ok, gap is None, witness
     )
+
+
+# The Buchberger engine on sparse Monomial arithmetic, as the package ran it
+# before its byte exponent vectors: same pair selection, S-pairs and
+# rewriting choices, so every intermediate element must agree.
+
+
+def sparse_s_pair(f: Binomial, g: Binomial, order: MonomialOrder = LEX) -> Binomial | None:
+    """S-polynomial of two oriented binomials, or None when it vanishes."""
+    f = f.oriented(order)
+    g = g.oriented(order)
+    lcm = f.plus.lcm(g.plus)
+    left = lcm.div(g.plus).mul(g.minus)
+    right = lcm.div(f.plus).mul(f.minus)
+    return Binomial.make(left, right, order)
+
+
+def sparse_reduce(
+    f: Binomial, basis: Sequence[Binomial], order: MonomialOrder = LEX
+) -> Binomial | None:
+    """Full normal form of f modulo the basis; None when f reduces to zero.
+
+    Each step rewrites a side divisible by some basis initial term, the
+    larger side first; the basis elements must already be oriented under
+    the order.
+    """
+    f = f.oriented(order)
+    a, b = f.plus, f.minus
+    while True:
+        for g in basis:
+            if g.plus.divides(a):
+                a = a.div(g.plus).mul(g.minus)
+                break
+        else:
+            for g in basis:
+                if g.plus.divides(b):
+                    b = b.div(g.plus).mul(g.minus)
+                    break
+            else:
+                return Binomial(a, b)
+        if a == b:
+            return None
+        if order.cmp(a, b) < 0:
+            a, b = b, a
+
+
+def _sparse_prepare(gens: Iterable[Binomial], order: MonomialOrder) -> list[Binomial]:
+    seen = set()
+    out = []
+    for f in gens:
+        g = f.oriented(order)
+        if g not in seen:
+            seen.add(g)
+            out.append(g)
+    out.sort(key=lambda g: g.sort_key(order))
+    return out
+
+
+def _sparse_autoreduce(
+    elements: list[Binomial], order: MonomialOrder, deadline: Deadline
+) -> list[Binomial]:
+    """Inter-reduce until every element is in normal form modulo the rest."""
+    basis = _sparse_prepare(elements, order)
+    changed = True
+    while changed:
+        deadline.check("Groebner basis inter-reduction")
+        changed = False
+        for idx, g in enumerate(basis):
+            rest = basis[:idx] + basis[idx + 1 :]
+            h = sparse_reduce(g, rest, order)
+            if h is None:
+                del basis[idx]
+                changed = True
+                break
+            if h != g:
+                basis[idx] = h
+                basis.sort(key=lambda e: e.sort_key(order))
+                changed = True
+                break
+    return basis
+
+
+def sparse_buchberger(
+    gens: Iterable[Binomial],
+    order: MonomialOrder = LEX,
+    *,
+    degree_cap: int = DEFAULT_DEGREE_CAP,
+    deadline: Deadline | None = None,
+) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by the binomials.
+
+    Pair selection is by smallest lcm (degree, then the order's key on the
+    lcm, then the pair's serialization), pairs with coprime initial terms
+    are never queued, and the final basis is auto-reduced, so the result
+    is a deterministic function of the generated ideal and the order.
+    """
+    deadline = deadline or Deadline.unlimited()
+    basis = _sparse_prepare(gens, order)
+    # per element: its sort key and initial-term variables, shared by its pairs
+    sort_keys = [g.sort_key(order) for g in basis]
+    lead_vars = [frozenset(g.plus.vars()) for g in basis]
+    pairs: list[tuple] = []
+
+    def push_pairs(j: int) -> None:
+        g = basis[j]
+        g_key = sort_keys[j]
+        g_vars = lead_vars[j]
+        for i in range(j):
+            if g_vars.isdisjoint(lead_vars[i]):
+                continue
+            lcm = basis[i].plus.lcm(g.plus)
+            key = (lcm.degree, order.key(lcm), sort_keys[i], g_key)
+            heapq.heappush(pairs, (key, i, j))
+
+    for j in range(len(basis)):
+        deadline.check("Groebner basis computation")
+        push_pairs(j)
+
+    while pairs:
+        deadline.check("Groebner basis computation")
+        (_, i, j) = heapq.heappop(pairs)
+        s = sparse_s_pair(basis[i], basis[j], order)
+        if s is None:
+            continue
+        h = sparse_reduce(s, basis, order)
+        if h is None:
+            continue
+        if h.degree > degree_cap:
+            raise DegreeCapExceeded(h, degree_cap)
+        basis.append(h)
+        sort_keys.append(h.sort_key(order))
+        lead_vars.append(frozenset(h.plus.vars()))
+        push_pairs(len(basis) - 1)
+
+    reduced = _sparse_autoreduce(basis, order, deadline)
+    return GroebnerBasis(order.tag, tuple(reduced), order)

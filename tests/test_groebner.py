@@ -10,11 +10,12 @@ from polyminor.binomials import (
     Binomial,
     GradedRevlex,
     Monomial,
+    aux_var,
     generators,
     inner_minor,
     point_var,
 )
-from polyminor.geometry import Interval, Point, Polyomino
+from polyminor.geometry import Interval, Point, Polyomino, complement
 import polyminor.groebner as groebner
 from polyminor.groebner import (
     BudgetExceeded,
@@ -29,7 +30,16 @@ from polyminor.groebner import (
     s_pair,
 )
 
-from oracles import frame_shape, naive_fixed_polyominoes, rewrite_monomial
+import oracles
+from oracles import (
+    frame_shape,
+    localization_family,
+    naive_fixed_polyominoes,
+    rewrite_monomial,
+    sparse_buchberger,
+    sparse_reduce,
+    sparse_s_pair,
+)
 
 # every polyomino of at most four cells, plus the frame
 SMALL_SHAPES = [
@@ -192,7 +202,9 @@ class TestBuchberger:
         rect_5x5 = Polyomino([(i, j) for i in range(5) for j in range(5)])
         with pytest.raises(BudgetExceeded):
             groebner._autoreduce(
-                list(generators(rect_5x5)), LEX, Deadline(at=time.monotonic() - 1)
+                groebner._Vectors.of(generators(rect_5x5), LEX),
+                LEX,
+                Deadline(at=time.monotonic() - 1),
             )
 
     @pytest.mark.parametrize(
@@ -205,17 +217,10 @@ class TestBuchberger:
         ],
         ids=["block_2x2", "s_tetromino", "frame", "rect_5x5"],
     )
-    def test_s_pair_call_count(self, monkeypatch, cells, expected):
+    def test_s_pair_call_count(self, cells, expected):
         # one S-pair per queued pair: those with coprime initial terms form none
-        calls = []
-
-        def counting_s_pair(f, g, order=LEX):
-            calls.append((f, g))
-            return s_pair(f, g, order)
-
-        monkeypatch.setattr(groebner, "s_pair", counting_s_pair)
-        buchberger(generators(Polyomino(cells)))
-        assert len(calls) == expected
+        stats = buchberger(generators(Polyomino(cells))).stats
+        assert stats["s_pairs"] == expected
 
     @pytest.mark.parametrize("order_name", ["lex", "grevlex"])
     def test_matches_sympy(self, order_name):
@@ -249,6 +254,115 @@ class TestBuchberger:
         assert tuple(a) == tuple(b)
         # sorted by the order's key; saturate and toric_ideal_of_map rely on it
         assert list(a) == sorted(a, key=lambda g: g.sort_key(LEX))
+
+
+# every polyomino of at most five cells, the localization family and the frame
+REFERENCE_SHAPES = (
+    [
+        Polyomino(cells)
+        for n in range(1, 6)
+        for cells in sorted(naive_fixed_polyominoes(n), key=sorted)
+    ]
+    + [complement(bounding, inner) for bounding, inner in localization_family()]
+    + [frame_shape()]
+)
+
+
+def first_saturation_order(gens):
+    # _saturation's first revlex_basis: every variable pending, descending
+    return GradedRevlex(sorted({v for g in gens for v in g.vars()}, reverse=True))
+
+
+def with_marker(gens):
+    # toric's old elimination input: m * v - 1 for the smallest variable v
+    v = min(v for g in gens for v in g.vars())
+    return list(gens) + [Binomial(Monomial(((aux_var("m", 0), 1), (v, 1))), ONE)]
+
+
+class TestSparseReference:
+    """The byte-vector engine against the sparse Monomial engine it replaced."""
+
+    @pytest.fixture
+    def reference(self, monkeypatch):
+        # the reference's S-pairs formed, and its basis before inter-reduction
+        formed, completed = [], []
+        autoreduce = oracles._sparse_autoreduce
+        monkeypatch.setattr(
+            oracles, "sparse_s_pair", lambda *a: formed.append(a) or sparse_s_pair(*a)
+        )
+        monkeypatch.setattr(
+            oracles,
+            "_sparse_autoreduce",
+            lambda basis, *a: completed.append(len(basis)) or autoreduce(basis, *a),
+        )
+
+        def check(gens, order):
+            formed.clear()
+            completed.clear()
+            expected = sparse_buchberger(gens, order)
+            got = buchberger(gens, order)
+            assert got.elements == expected.elements
+            assert got.stats["s_pairs"] == len(formed)
+            assert got.stats["peak_size"] == completed[0]
+            # each cap below the top degree stops at the first element past it
+            for cap in range(2, got.stats["max_degree"]):
+                with pytest.raises(DegreeCapExceeded) as want:
+                    sparse_buchberger(gens, order, degree_cap=cap)
+                with pytest.raises(DegreeCapExceeded) as have:
+                    buchberger(gens, order, degree_cap=cap)
+                assert have.value.element == want.value.element, cap
+            return got.stats["max_degree"] > 2
+
+        return check
+
+    def test_shape_count(self):
+        assert len(REFERENCE_SHAPES) == 91 + 20 + 1
+
+    def test_lex(self, reference):
+        capped = [reference(generators(shape), LEX) for shape in REFERENCE_SHAPES]
+        assert sum(capped) > 5
+
+    def test_first_saturation_order(self, reference):
+        capped = 0
+        for shape in REFERENCE_SHAPES:
+            gens = generators(shape)
+            capped += reference(gens, first_saturation_order(gens))
+        assert capped > 5
+
+    def test_marker_elimination(self, reference):
+        # inhomogeneous, with many more steps between generators and basis
+        for bounding, inner in localization_family():
+            assert reference(with_marker(generators(complement(bounding, inner))), LEX)
+
+    def test_reduce_and_s_pair_equal_on_generators(self):
+        # the generators are not a basis, so the rewriting choices show
+        for shape in REFERENCE_SHAPES:
+            gens = list(generators(shape))
+            probe = Binomial.make(gens[0].plus.mul(gens[-1].plus), gens[0].minus, LEX)
+            assert reduce(probe, gens) == sparse_reduce(probe, gens), shape
+            for f in gens[:3]:
+                for g in gens:
+                    assert s_pair(f, g) == sparse_s_pair(f, g), (f, g)
+
+
+class TestExponentLimit:
+    def test_generator_past_limit_raises(self):
+        big = Binomial(Monomial(((x(1, 0), 300),)), Monomial(((x(0, 0), 300),)))
+        with pytest.raises(ValueError, match="255"):
+            buchberger([big], degree_cap=400)
+
+    def test_limit_itself_is_accepted(self):
+        f = Binomial(Monomial(((x(1, 0), 255),)), Monomial(((x(0, 0), 255),)))
+        assert buchberger([f], degree_cap=400).elements == (f,)
+
+    def test_step_past_limit_raises(self):
+        # y^2 -> y z^200 -> z^400
+        y, z = x(1, 0), x(0, 0)
+        rule = Binomial(mono(y), Monomial(((z, 200),)))
+        with pytest.raises(ValueError, match="255"):
+            reduce(Binomial(Monomial(((y, 2),)), ONE), [rule])
+        with pytest.raises(ValueError, match="255"):
+            buchberger([rule, Binomial(Monomial(((y, 2),)), mono(x(0, 1)))], degree_cap=1000)
 
 
 class TestQuadraticCondition:

@@ -13,6 +13,8 @@ from polyminor.groebner import (
 )
 from polyminor.toric import exponent_lattice, is_prime, saturate
 
+from oracles import sparse_reduce
+
 
 def grown_polyomino(max_steps: int = 5) -> st.SearchStrategy[Polyomino]:
     def grow(seed: list[int]) -> Polyomino:
@@ -56,6 +58,18 @@ def test_normal_form_idempotent(shape):
     if nf is None:
         return
     assert reduce(nf, basis) == nf
+
+
+@given(grown_polyomino())
+@settings(max_examples=30, deadline=None)
+def test_reduce_matches_sparse_reference(shape):
+    # modulo the basis and modulo the bare generators, where choices show
+    gens = list(generators(shape))
+    probe = Binomial.make(gens[0].plus.mul(gens[-1].plus), gens[0].minus, LEX)
+    if probe is None:
+        return
+    for basis in (list(buchberger(gens)), gens):
+        assert reduce(probe, basis) == sparse_reduce(probe, basis)
 
 
 @given(grown_polyomino(max_steps=3))
