@@ -43,7 +43,6 @@ from .groebner import (
     DegreeCapExceeded,
     GroebnerBasis,
     buchberger,
-    ideal_equal,
     ideal_membership,
     quadratic_gb_condition,
     reduce,

@@ -34,7 +34,7 @@ class Var(NamedTuple):
 
     rank 0 variables are indexed by lattice points and ordered by (i, j)
     tuple comparison, so x_(i,j) > x_(k,l) iff i > k, or i = k and j > l.
-    rank 1 variables are auxiliary (graph vertices, elimination targets)
+    rank 1 variables are auxiliary (graph vertices, targets of monomial maps)
     and sit above every rank 0 variable.
     """
 
@@ -175,9 +175,8 @@ class MonomialOrder:
     """Lexicographic monomial order on the variable order itself.
 
     Auxiliary variables rank above point variables and point variables
-    compare by (i, j), so this single order serves both as the base lex
-    order and as an elimination order for the auxiliary block.  A
-    subclass defines another order by overriding key.
+    compare by (i, j).  A subclass defines another order by overriding
+    key.
     """
 
     __slots__ = ("tag",)

@@ -35,10 +35,8 @@ def _fixed(n: int) -> tuple[_CellTuple, ...]:
     return tuple(sorted(grown))
 
 
-def enumerate_polyominoes(
-    n: int, cap: int = MAX_ENUMERATION_CELLS
-) -> tuple[Polyomino, ...]:
+def enumerate_polyominoes(n: int) -> tuple[Polyomino, ...]:
     """All n-cell polyominoes anchored at the origin, in canonical order."""
-    if not 1 <= n <= cap:
-        raise ValueError(f"cell count {n} outside the range 1..{cap}")
+    if not 1 <= n <= MAX_ENUMERATION_CELLS:
+        raise ValueError(f"cell count {n} outside the range 1..{MAX_ENUMERATION_CELLS}")
     return tuple(Polyomino(cells) for cells in _fixed(n))

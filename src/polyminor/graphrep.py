@@ -39,7 +39,6 @@ from .groebner import (
     DEFAULT_DEGREE_CAP,
     Deadline,
     buchberger,
-    ideal_equal,
     ideal_membership,
 )
 from .toric import (
@@ -167,9 +166,9 @@ def verify_representation(
     kernel = toric_ideal_of_map(
         labeling.monomial_map(), degree_cap=degree_cap, deadline=deadline
     )
-    return ideal_equal(
-        kernel, generators(collection), LEX, degree_cap=degree_cap, deadline=deadline
-    )
+    return kernel == buchberger(
+        generators(collection), LEX, degree_cap=degree_cap, deadline=deadline
+    ).elements
 
 
 def _prime_lattice_rank(
@@ -494,7 +493,7 @@ class _Search:
         kernel equals the ideal exactly when the ideal is prime and its
         lattice rank is #variables - rank(incidence matrix), since the
         ideal lies in the prime kernel.  When it does not, some element of
-        the kernel's elimination basis lies outside the ideal and becomes
+        the kernel's reduced LEX basis lies outside the ideal and becomes
         the rejection witness.
         """
         witness = self._quadratic_witness()

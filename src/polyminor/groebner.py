@@ -29,7 +29,6 @@ __all__ = [
     "buchberger",
     "quadratic_gb_condition",
     "ideal_membership",
-    "ideal_equal",
 ]
 
 DEFAULT_DEGREE_CAP = 20
@@ -319,20 +318,3 @@ def ideal_membership(f: Binomial, basis: GroebnerBasis) -> bool:
         return reduce(f, basis.elements, basis.order) is None
     return vectors.normal_form(*vectors.orient(*vectors.pair(f))) is None
 
-
-def ideal_equal(
-    first: Iterable[Binomial],
-    second: Iterable[Binomial],
-    order: MonomialOrder = LEX,
-    *,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-    deadline: Deadline | None = None,
-) -> bool:
-    """Whether two generator lists present the same ideal."""
-    first = list(first)
-    second = list(second)
-    basis_second = buchberger(second, order, degree_cap=degree_cap, deadline=deadline)
-    if not all(ideal_membership(f, basis_second) for f in first):
-        return False
-    basis_first = buchberger(first, order, degree_cap=degree_cap, deadline=deadline)
-    return all(ideal_membership(g, basis_first) for g in second)

@@ -127,9 +127,6 @@ def corner_set(bounding: Interval, inner: CellCollection) -> tuple[CornerTriple,
                 triples.append(
                     CornerTriple(Point(q1, r2), Point(lo.i, r2), Point(q1, hi.j))
                 )
-    triples.sort(key=lambda t: t.p)
-    if len({t.p for t in triples}) != len(triples):
-        raise RuntimeError("corner construction produced a duplicated corner")
     return tuple(triples)
 
 

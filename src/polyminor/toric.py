@@ -80,30 +80,37 @@ def exponent_lattice(gens: Iterable[Binomial]) -> IntegerMatrix:
     return IntegerMatrix(tuple(columns), tuple(rows))
 
 
-def _smith(rows: list[list[int]], n: int) -> tuple[list[int], list[list[int]]]:
-    """Diagonalize by unimodular row/column operations.
+def _smith(
+    rows: list[list[int]], n: int
+) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """Diagonalize by unimodular row/column operations: U A T = D.
 
-    Returns the elementary divisors (nonnegative, each dividing the next)
-    and the matrix T_inv with row space relation: the original row space
-    equals the span of d_t * row_t(T_inv) over the nonzero divisors.
-    Column operations on the work matrix are mirrored as inverse row
-    operations on T_inv.
+    Returns the elementary divisors (nonnegative, each dividing the next),
+    T_inv, whose rows t scaled by d_t span the row space of A, and the
+    columns of T, of which those past the nonzero divisors span the
+    integer kernel of A.  Column operations on the work matrix are applied
+    to T and mirrored as inverse row operations on T_inv.
     """
     a = [list(r) for r in rows]
     m = len(a)
     t_inv = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+    t_cols = [[1 if r == c else 0 for r in range(n)] for c in range(n)]
 
     def swap_cols(c1: int, c2: int) -> None:
-        for r in range(m):
-            a[r][c1], a[r][c2] = a[r][c2], a[r][c1]
+        for row in a:
+            row[c1], row[c2] = row[c2], row[c1]
         t_inv[c1], t_inv[c2] = t_inv[c2], t_inv[c1]
+        t_cols[c1], t_cols[c2] = t_cols[c2], t_cols[c1]
 
     def add_col(dst: int, src: int, q: int) -> None:
-        # work matrix: col_dst += q * col_src; inverse on t_inv rows
-        for r in range(m):
-            a[r][dst] += q * a[r][src]
+        # work matrix and T: col_dst += q * col_src; inverse on t_inv rows
+        for row in a:
+            row[dst] += q * row[src]
+        inv_src, inv_dst = t_inv[src], t_inv[dst]
+        col_src, col_dst = t_cols[src], t_cols[dst]
         for c in range(n):
-            t_inv[src][c] -= q * t_inv[dst][c]
+            inv_src[c] -= q * inv_dst[c]
+            col_dst[c] += q * col_src[c]
 
     divisors: list[int] = []
     t = 0
@@ -156,14 +163,14 @@ def _smith(rows: list[list[int]], n: int) -> tuple[list[int], list[list[int]]]:
                 a[t][c] = -a[t][c]
         divisors.append(a[t][t])
         t += 1
-    return divisors, t_inv
+    return divisors, t_inv, t_cols
 
 
 def elementary_divisors(matrix: IntegerMatrix) -> tuple[int, ...]:
     """Nonzero elementary divisors of the matrix, each dividing the next."""
     if not matrix.rows:
         return ()
-    divisors, _ = _smith([list(r) for r in matrix.rows], len(matrix.columns))
+    divisors, _, _ = _smith([list(r) for r in matrix.rows], len(matrix.columns))
     return tuple(divisors)
 
 
@@ -191,7 +198,7 @@ def is_saturated_lattice(matrix: IntegerMatrix) -> tuple[bool, TorsionWitness | 
     """
     if not matrix.rows:
         return True, None
-    divisors, t_inv = _smith([list(r) for r in matrix.rows], len(matrix.columns))
+    divisors, t_inv, _ = _smith([list(r) for r in matrix.rows], len(matrix.columns))
     for idx, d in enumerate(divisors):
         if d != 1:
             witness = TorsionWitness(d, _vector_binomial(t_inv[idx], matrix.columns))
@@ -314,7 +321,10 @@ def is_prime(
 
 @dataclass(frozen=True)
 class MonomialMap:
-    """Assignment of each source variable to a monomial in target variables."""
+    """Assignment of each source variable to a monomial in target variables.
+
+    toric_ideal_of_map needs every image to have one positive degree.
+    """
 
     assignment: tuple[tuple[Var, Monomial], ...]
 
@@ -337,22 +347,22 @@ def toric_ideal_of_map(
     degree_cap: int = DEFAULT_DEGREE_CAP,
     deadline: Deadline | None = None,
 ) -> tuple[Binomial, ...]:
-    """Kernel of the monomial map, as a reduced basis in the source variables.
+    """Kernel of the monomial map, as a reduced LEX basis in the source variables.
 
-    Eliminates the target variables from the relations source = image.
-    Target variables must rank above source variables, which holds for
-    auxiliary targets over point sources.
+    The kernel is the lattice ideal of the integer kernel of the targets x
+    sources exponent matrix, read off _smith's column transform.  It is
+    the saturation of the ideal of that lattice basis by the product of
+    the source variables (Sturmfels, "Groebner Bases and Convex
+    Polytopes", Lemma 12.2).  Every image must have the same positive
+    degree, so each basis binomial is homogeneous, as saturate needs.
     """
-    relations = []
-    for v, image in mapping.assignment:
-        source_mon = Monomial(((v, 1),))
-        if any(t <= v for t in image.vars()):
-            raise ValueError(f"target monomial {image} does not dominate source {v}")
-        f = Binomial.make(image, source_mon, LEX)
-        if f is None:
-            raise ValueError("image equals source variable")
-        relations.append(f)
-    targets = {t for _, image in mapping.assignment for t in image.vars()}
-    basis = buchberger(relations, LEX, degree_cap=degree_cap, deadline=deadline)
-    kernel = [g for g in basis if not (frozenset(g.vars()) & targets)]
-    return tuple(kernel)
+    images = [image for _, image in mapping.assignment]
+    degrees = {image.degree for image in images}
+    if len(degrees) > 1 or 0 in degrees:
+        raise ValueError(f"image degrees {sorted(degrees)} are not one positive degree")
+    sources = mapping.sources()
+    targets = sorted({t for image in images for t in image.vars()})
+    rows = [[image.exponent(t) for image in images] for t in targets]
+    divisors, _, t_cols = _smith(rows, len(sources))
+    lattice = [_vector_binomial(col, sources) for col in t_cols[len(divisors):]]
+    return saturate(lattice, degree_cap=degree_cap, deadline=deadline)

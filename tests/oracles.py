@@ -31,6 +31,7 @@ from polyminor.groebner import (
 )
 from polyminor.localization import localization_hypotheses
 from polyminor.toric import (
+    MonomialMap,
     PrimalityCertificate,
     exponent_lattice,
     is_saturated_lattice,
@@ -245,6 +246,33 @@ def marker_primality(gens) -> tuple[tuple[Binomial, ...], PrimalityCertificate]:
     return saturated, PrimalityCertificate(
         "not_prime", lattice_ok, gap is None, witness
     )
+
+
+def elimination_toric_ideal_of_map(
+    mapping: MonomialMap,
+    *,
+    degree_cap: int = DEFAULT_DEGREE_CAP,
+    deadline: Deadline | None = None,
+) -> tuple[Binomial, ...]:
+    """Kernel of the monomial map, as a reduced basis in the source variables.
+
+    Eliminates the target variables from the relations source = image.
+    Target variables must rank above source variables, which holds for
+    auxiliary targets over point sources.
+    """
+    relations = []
+    for v, image in mapping.assignment:
+        source_mon = Monomial(((v, 1),))
+        if any(t <= v for t in image.vars()):
+            raise ValueError(f"target monomial {image} does not dominate source {v}")
+        f = Binomial.make(image, source_mon, LEX)
+        if f is None:
+            raise ValueError("image equals source variable")
+        relations.append(f)
+    targets = {t for _, image in mapping.assignment for t in image.vars()}
+    basis = buchberger(relations, LEX, degree_cap=degree_cap, deadline=deadline)
+    kernel = [g for g in basis if not (frozenset(g.vars()) & targets)]
+    return tuple(kernel)
 
 
 # The Buchberger engine on sparse Monomial arithmetic, as the package ran it

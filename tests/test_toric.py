@@ -14,12 +14,14 @@ from polyminor.binomials import (
     point_var,
 )
 from polyminor.enumeration import enumerate_polyominoes
-from polyminor.geometry import Interval, Point, Polyomino, complement
+from polyminor.geometry import CellCollection, Interval, Point, Polyomino, complement
+from polyminor.graphrep import GraphLabeling, bipartite_grid_labeling, search_labeling
 from polyminor.groebner import buchberger, ideal_membership
 from polyminor.toric import (
     IntegerMatrix,
     MonomialMap,
     TorsionWitness,
+    _smith,
     elementary_divisors,
     exponent_lattice,
     is_prime,
@@ -30,6 +32,7 @@ from polyminor.toric import (
 )
 
 from oracles import (
+    elimination_toric_ideal_of_map,
     frame_shape,
     localization_family,
     marker_primality,
@@ -84,6 +87,22 @@ class TestSmithForm:
             mine = list(elementary_divisors(matrix_of(rows)))
             theirs = sympy_smith_divisors(rows)
             assert mine == sorted(theirs), rows
+
+    def test_kernel_columns_random(self):
+        # T is unimodular, so its columns past the divisors span the kernel
+        from sympy import Matrix
+
+        rng = random.Random(1502)
+        for _ in range(80):
+            nrows = rng.randint(1, 4)
+            ncols = rng.randint(1, 6)
+            rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+            divisors, _, t_cols = _smith(rows, ncols)
+            assert abs(Matrix(t_cols).det()) == 1, rows
+            kernel = t_cols[len(divisors):]
+            assert len(kernel) == ncols - sympy_rank(rows), rows
+            for col in kernel:
+                assert all(sum(a * b for a, b in zip(r, col)) == 0 for r in rows)
 
     def test_rank_against_sympy_random(self):
         rng = random.Random(4242)
@@ -303,7 +322,50 @@ class TestMonomialMap:
         })
         assert toric_ideal_of_map(mapping) == ()
 
-    def test_rejects_non_dominating_target(self):
-        # elimination needs every target variable to rank above the source
+    def test_target_below_source_has_trivial_kernel(self):
+        # targets need not rank above their sources
+        assert toric_ideal_of_map(MonomialMap.of({x(1, 1): mono(x(0, 0))})) == ()
+
+    def test_rejects_mixed_degree_images(self):
+        t0, t1 = aux_var("t", 0), aux_var("t", 1)
+        mapping = MonomialMap.of({x(0, 0): mono(t0), x(0, 1): mono(t0, t1)})
         with pytest.raises(ValueError):
-            toric_ideal_of_map(MonomialMap.of({x(1, 1): mono(x(0, 0))}))
+            toric_ideal_of_map(mapping)
+
+    def test_rejects_degree_zero_images(self):
+        mapping = MonomialMap.of({x(0, 0): mono(), x(0, 1): mono()})
+        with pytest.raises(ValueError):
+            toric_ideal_of_map(mapping)
+
+
+class TestEliminationReference:
+    """The lattice route against eliminating the targets from source = image."""
+
+    def test_equal_to_elimination(self):
+        shapes = [s for n in range(1, 6) for s in enumerate_polyominoes(n)]
+        maps = [bipartite_grid_labeling(s).monomial_map() for s in shapes]
+        # every labeling the search accepts or rejects as complete
+        for shape in shapes + [CellCollection([(0, 0), (0, 2), (2, 0)])]:
+            maps.extend(
+                GraphLabeling(e.assignment).monomial_map()
+                for e in search_labeling(shape).trace
+                if e.kind in ("accept", "reject_labeling")
+            )
+        maps.append(bipartite_grid_labeling(frame_shape()).monomial_map())
+        assert len(maps) == 225
+        for mapping in maps:
+            assert toric_ideal_of_map(mapping) == elimination_toric_ideal_of_map(
+                mapping
+            ), mapping
+
+    def test_strict_containment_labeling(self):
+        # the one labeling of this shape whose kernel strictly contains the ideal
+        shape = Polyomino([(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 4)])
+        strict = [
+            e
+            for e in search_labeling(shape).trace
+            if e.kind == "reject_labeling" and "strictly" in e.detail
+        ]
+        assert len(strict) == 1
+        mapping = GraphLabeling(strict[0].assignment).monomial_map()
+        assert toric_ideal_of_map(mapping) == elimination_toric_ideal_of_map(mapping)
