@@ -319,32 +319,34 @@ def border_cells(collection: CellCollection) -> tuple[Cell, ...]:
 def is_simple(collection: CellCollection) -> bool:
     """True when the collection encloses no hole.
 
-    Flood fill over the complement within a one-cell margin around the
-    bounding box: the collection is simple when every non-member cell of
-    the bounding box escapes to the margin.
+    A non-member cell whose row or column holds no member reaches the
+    outside along it.  So the flood fill covers only the non-member cells
+    of the grid of occupied rows times occupied columns, starting from
+    those with a neighbour off that grid: the collection is simple when
+    it reaches all of them.
     """
     if not collection.cells:
         raise ValueError("emptiness is not a simplicity question")
-    lo_i = min(c.i for c in collection.cells) - 1
-    lo_j = min(c.j for c in collection.cells) - 1
-    hi_i = max(c.i for c in collection.cells) + 1
-    hi_j = max(c.j for c in collection.cells) + 1
     members = {(c.i, c.j) for c in collection.cells}
-    start = (lo_i, lo_j)
-    seen = {start}
-    queue = deque([start])
+    rows = {i for i, _ in members}
+    columns = {j for _, j in members}
+    inside = {(i, j) for i in rows for j in columns} - members
+
+    def neighbours(i: int, j: int) -> tuple[tuple[int, int], ...]:
+        return ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
+
+    seen = {
+        cell
+        for cell in inside
+        if any(i not in rows or j not in columns for i, j in neighbours(*cell))
+    }
+    queue = deque(seen)
     while queue:
-        ci, cj = queue.popleft()
-        for ni, nj in ((ci - 1, cj), (ci + 1, cj), (ci, cj - 1), (ci, cj + 1)):
-            if lo_i <= ni <= hi_i and lo_j <= nj <= hi_j:
-                if (ni, nj) not in members and (ni, nj) not in seen:
-                    seen.add((ni, nj))
-                    queue.append((ni, nj))
-    for ci in range(lo_i + 1, hi_i):
-        for cj in range(lo_j + 1, hi_j):
-            if (ci, cj) not in members and (ci, cj) not in seen:
-                return False
-    return True
+        for cell in neighbours(*queue.popleft()):
+            if cell in inside and cell not in seen:
+                seen.add(cell)
+                queue.append(cell)
+    return len(seen) == len(inside)
 
 
 def complement(bounding: Interval, inner: CellCollection) -> CellCollection:

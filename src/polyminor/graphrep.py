@@ -45,7 +45,6 @@ from .toric import (
     IntegerMatrix,
     MonomialMap,
     PrimalityCertificate,
-    exponent_lattice,
     is_prime,
     toric_ideal_of_map,
 )
@@ -181,13 +180,13 @@ def _prime_lattice_rank(
     """Rank of the ideal's exponent lattice when the ideal is prime, else None.
 
     certificate, when given, is the ideal's is_prime certificate, which
-    is then not computed again.
+    is then not computed again; the certificate carries the rank.
     """
     if certificate is None:
         certificate = is_prime(gens, degree_cap=degree_cap, deadline=deadline)
     if not certificate.is_prime:
         return None
-    return exponent_lattice(gens).rank
+    return certificate.rank
 
 
 def _incidence_rank(labeling: GraphLabeling) -> int:

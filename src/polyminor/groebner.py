@@ -124,10 +124,14 @@ class _Vectors:
         """The generators oriented, without repeats, sorted by the order."""
         gens = list(gens)
         vectors = cls(order, {v for g in gens for v in g.vars()})
-        oriented = {vectors.orient(*vectors.pair(g)) for g in gens}
-        for a, b in sorted(oriented, key=lambda ab: tuple(map(vectors.key, ab))):
-            vectors.append(a, b)
+        vectors.load(map(vectors.pair, gens))
         return vectors
+
+    def load(self, pairs: Iterable[tuple[bytes, bytes]]) -> None:
+        """Append the pairs oriented, without repeats, sorted by the order."""
+        oriented = {self.orient(a, b) for a, b in pairs}
+        for a, b in sorted(oriented, key=lambda ab: tuple(map(self.key, ab))):
+            self.append(a, b)
 
     def encode(self, m: Monomial) -> bytes:
         vector = bytearray(len(self.variables))
@@ -224,6 +228,95 @@ def _autoreduce(vectors: _Vectors, order: MonomialOrder, deadline: Deadline) -> 
     return reduced
 
 
+def _lead_count(leads: Sequence[bytes], d: int) -> int | None:
+    """The number of degree-d monomials some lead divides, when easily known.
+
+    Counted only when every lead has degree at least d - 1: those
+    monomials are then the leads of degree d and each degree d - 1 lead
+    times each variable.  Otherwise None.
+    """
+    degrees = list(map(sum, leads))
+    if min(degrees, default=0) < d - 1 or d > EXPONENT_LIMIT:
+        return None
+    # as little-endian integers, adding 1 << 8k raises byte k, which is below d
+    monomials = {int.from_bytes(lead, "little") for lead, e in zip(leads, degrees) if e == d}
+    below = [int.from_bytes(lead, "little") for lead, e in zip(leads, degrees) if e == d - 1]
+    units = [1 << 8 * k for k in range(len(leads[0]))]
+    monomials.update(x + unit for x in below for unit in units)
+    return len(monomials)
+
+
+def _complete(
+    vectors: _Vectors,
+    degree_cap: int,
+    deadline: Deadline,
+    target: dict[int, int | None] | None = None,
+) -> int:
+    """Extend vectors to a Groebner basis; returns the S-pairs formed.
+
+    Pairs wait in buckets by lcm degree and get their heap keys when their
+    degree opens; they pop in buchberger's order.  target, for a
+    homogeneous ideal, maps degrees d to dim in(I)_d.  Every nonzero
+    reduction of degree d adds one lead to in(G)_d, and once in(G)_d is
+    in(I)_d the other S-pairs of degree d reduce to zero, so they are
+    dropped: the elements added, and their order, do not change.
+    """
+    key, leads, tails, masks = vectors.key, vectors.leads, vectors.tails, vectors.masks
+    # per element: its sort key, shared by its pairs
+    sort_keys = [(key(a), key(b)) for a, b in zip(leads, tails)]
+    buckets: dict[int, list[tuple[int, int, bytes]]] = {}
+    heap: list[tuple] = []
+    opened = formed = 0  # pairs of degree <= opened go straight to the heap
+    missing = None
+
+    def push_pairs(j: int) -> None:
+        lead, mask, j_key = leads[j], masks[j], sort_keys[j]
+        for i in range(j):
+            if masks[i] & mask:
+                lcm = bytes(map(max, leads[i], lead))
+                degree = sum(lcm)
+                if degree > opened:
+                    buckets.setdefault(degree, []).append((i, j, lcm))
+                else:
+                    heapq.heappush(heap, ((degree, key(lcm), sort_keys[i], j_key), i, j, lcm))
+
+    for j in range(len(leads)):
+        deadline.check("Groebner basis computation")
+        push_pairs(j)
+
+    while heap or buckets:
+        deadline.check("Groebner basis computation")
+        if not heap:
+            opened = min(buckets)
+            pairs = buckets.pop(opened)
+            goal = target.get(opened) if target else None
+            have = None if goal is None else _lead_count(leads, opened)
+            missing = None if have is None else goal - have
+            if missing == 0:
+                continue
+            heap.extend(
+                ((opened, key(lcm), sort_keys[i], sort_keys[j]), i, j, lcm)
+                for i, j, lcm in pairs
+            )
+            heapq.heapify(heap)
+        (_, i, j, lcm) = heapq.heappop(heap)
+        formed += 1
+        s = vectors.s_pair(i, j, lcm)
+        h = None if s is None else vectors.normal_form(*s)
+        if h is None:
+            continue
+        if max(map(sum, h)) > degree_cap:
+            raise DegreeCapExceeded(vectors.binomial(*h), degree_cap)
+        vectors.append(*h)
+        sort_keys.append((key(h[0]), key(h[1])))
+        push_pairs(len(leads) - 1)
+        if missing is not None:
+            missing -= 1
+            if not missing:
+                heap.clear()
+    return formed
+
+
 def buchberger(
     gens: Iterable[Binomial],
     order: MonomialOrder = LEX,
@@ -240,43 +333,15 @@ def buchberger(
 
     Monomials are byte vectors, so no exponent may exceed 255
     (EXPONENT_LIMIT): a larger one, given or formed, raises ValueError.
-    stats counts pairs queued and S-pairs formed (every queued pair is
-    formed), zero reductions, elements added, peak size and top degree.
+    stats counts S-pairs formed (one per queued pair), zero reductions,
+    elements added, peak size and top degree.
     """
     deadline = deadline or Deadline.unlimited()
     vectors = _Vectors.of(gens, order)
-    key, leads, tails, masks = vectors.key, vectors.leads, vectors.tails, vectors.masks
-    # per element: its sort key, shared by its pairs
-    sort_keys = [(key(a), key(b)) for a, b in zip(leads, tails)]
-    given, formed = len(leads), 0
-    pairs: list[tuple] = []
-
-    def push_pairs(j: int) -> None:
-        lead, mask, j_key = leads[j], masks[j], sort_keys[j]
-        for i in range(j):
-            if masks[i] & mask:
-                lcm = bytes(map(max, leads[i], lead))
-                heapq.heappush(pairs, ((sum(lcm), key(lcm), sort_keys[i], j_key), i, j, lcm))
-
-    for j in range(len(leads)):
-        deadline.check("Groebner basis computation")
-        push_pairs(j)
-
-    while pairs:
-        deadline.check("Groebner basis computation")
-        (_, i, j, lcm) = heapq.heappop(pairs)
-        formed += 1
-        s = vectors.s_pair(i, j, lcm)
-        h = None if s is None else vectors.normal_form(*s)
-        if h is None:
-            continue
-        if max(map(sum, h)) > degree_cap:
-            raise DegreeCapExceeded(vectors.binomial(*h), degree_cap)
-        vectors.append(*h)
-        sort_keys.append((key(h[0]), key(h[1])))
-        push_pairs(len(leads) - 1)
-
-    stats = dict(pairs_queued=formed, s_pairs=formed, elements_added=len(leads) - given,
+    given = len(vectors.leads)
+    formed = _complete(vectors, degree_cap, deadline)
+    leads, tails = vectors.leads, vectors.tails
+    stats = dict(s_pairs=formed, elements_added=len(leads) - given,
                  peak_size=len(leads), max_degree=max(map(sum, leads + tails), default=0))
     stats["zero_reductions"] = formed - stats["elements_added"]
     reduced = _autoreduce(vectors, order, deadline)

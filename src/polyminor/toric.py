@@ -14,11 +14,22 @@ in its leading term gives a basis of I : x^oo (Bayer-Stillman; Sturmfels,
 "Groebner Bases and Convex Polytopes", Lemma 12.1).  For any order, a
 variable missing from every leading term is a nonzerodivisor, so one
 basis can certify several variables at once.
+
+While the saturation loop keeps one ideal, the Hilbert function is known
+after its first basis: degree d holds dim in(I)_d leading monomials under
+every order.  Later bases stop a degree's S-pairs once their leading
+terms reach that count (Traverso, "Hilbert functions and the Buchberger
+algorithm", JSC 1996).  The count rule is exact: every nonzero reduction
+adds one leading monomial, and past the count none is left to add, so
+each dropped pair would reduce to zero and the bases, their order of
+growth and any DegreeCapExceeded are unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
+from operator import itemgetter, or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .binomials import LEX, Binomial, GradedRevlex, Monomial, Var
@@ -26,6 +37,10 @@ from .groebner import (
     DEFAULT_DEGREE_CAP,
     Deadline,
     GroebnerBasis,
+    _autoreduce,
+    _complete,
+    _lead_count,
+    _Vectors,
     buchberger,
     ideal_membership,
 )
@@ -81,7 +96,7 @@ def exponent_lattice(gens: Iterable[Binomial]) -> IntegerMatrix:
 
 
 def _smith(
-    rows: list[list[int]], n: int
+    rows: list[list[int]], n: int, deadline: Deadline | None = None
 ) -> tuple[list[int], list[list[int]], list[list[int]]]:
     """Diagonalize by unimodular row/column operations: U A T = D.
 
@@ -112,9 +127,11 @@ def _smith(
             inv_src[c] -= q * inv_dst[c]
             col_dst[c] += q * col_src[c]
 
+    deadline = deadline or Deadline.unlimited()
     divisors: list[int] = []
     t = 0
     while t < m and t < n:
+        deadline.check("Smith normal form")
         pivot = None
         for r in range(t, m):
             for c in range(t, n):
@@ -189,6 +206,22 @@ def _vector_binomial(vector: Iterable[int], columns: tuple[Var, ...]) -> Binomia
     return f
 
 
+def _rank_and_torsion(
+    matrix: IntegerMatrix, deadline: Deadline | None = None
+) -> tuple[int, TorsionWitness | None]:
+    """Rank of the row lattice, and a torsion witness unless it is saturated."""
+    if not matrix.rows:
+        return 0, None
+    divisors, t_inv, _ = _smith(
+        [list(r) for r in matrix.rows], len(matrix.columns), deadline
+    )
+    for idx, d in enumerate(divisors):
+        if d != 1:
+            witness = TorsionWitness(d, _vector_binomial(t_inv[idx], matrix.columns))
+            return len(divisors), witness
+    return len(divisors), None
+
+
 def is_saturated_lattice(matrix: IntegerMatrix) -> tuple[bool, TorsionWitness | None]:
     """Whether the row lattice is saturated in the ambient integer lattice.
 
@@ -196,14 +229,14 @@ def is_saturated_lattice(matrix: IntegerMatrix) -> tuple[bool, TorsionWitness | 
     witness carries the smallest offending divisor d together with the
     lattice-external vector whose d-th multiple lies in the lattice.
     """
-    if not matrix.rows:
-        return True, None
-    divisors, t_inv, _ = _smith([list(r) for r in matrix.rows], len(matrix.columns))
-    for idx, d in enumerate(divisors):
-        if d != 1:
-            witness = TorsionWitness(d, _vector_binomial(t_inv[idx], matrix.columns))
-            return False, witness
-    return True, None
+    _, witness = _rank_and_torsion(matrix)
+    return witness is None, witness
+
+
+def _check_homogeneous(gens: Sequence[Binomial]) -> None:
+    for g in gens:
+        if g.plus.degree != g.minus.degree:
+            raise ValueError(f"{g!r} is not homogeneous")
 
 
 def revlex_basis(
@@ -222,9 +255,7 @@ def revlex_basis(
     variable is a nonzerodivisor.
     """
     gens = list(gens)
-    for g in gens:
-        if g.plus.degree != g.minus.degree:
-            raise ValueError(f"{g!r} is not homogeneous")
+    _check_homogeneous(gens)
     head = sorted({v for g in gens for v in g.vars()} - set(last), reverse=True)
     order = GradedRevlex(head + list(last))
     return buchberger(gens, order, degree_cap=degree_cap, deadline=deadline)
@@ -241,22 +272,45 @@ def _saturation(
     each element by the power of v in its leading term saturates by v.
     Saturations commute, so certified variables stay nonzerodivisors,
     and v is one after its saturation.
+
+    The loop runs on byte vectors: each order's layout permutes the
+    current generators' layout, with v at byte 0.  The first basis of
+    each ideal gives the counts that stop the later ones (see the module
+    docstring).
     """
-    current = gens
-    pending = sorted({v for g in gens for v in g.vars()}, reverse=True)
+    _check_homogeneous(gens)
+    deadline = deadline or Deadline.unlimited()
+    variables = sorted({v for g in gens for v in g.vars()}, reverse=True)
+    pending = list(variables)
+    # the generators' layout; there are at least two variables, since a
+    # homogeneous binomial has two, so permute gets a tuple, never an int
+    source = _Vectors(GradedRevlex(variables), variables)
+    current = [source.pair(g) for g in gens]
+    target: dict[int, int | None] | None = None
     equal = True
     while pending:
-        basis = revlex_basis(current, pending, degree_cap=degree_cap, deadline=deadline)
-        leading = {v for g in basis for v in g.plus.vars()}
-        v = pending.pop()
-        if v in leading:
-            equal = False
-            current = []
-            for g in basis:
-                power = Monomial(((v, g.plus.exponent(v)),))
-                current.append(Binomial(g.plus.div(power), g.minus.div(power)))
-        pending = [w for w in pending if w in leading]
-    return current, equal
+        order = GradedRevlex(sorted(set(variables) - set(pending), reverse=True) + pending)
+        vectors = _Vectors(order, variables)
+        position = {v: k for k, v in enumerate(source.variables)}
+        permute = itemgetter(*(position[v] for v in vectors.variables))
+        vectors.load((bytes(permute(a)), bytes(permute(b))) for a, b in current)
+        _complete(vectors, degree_cap, deadline, target)
+        basis = _autoreduce(vectors, order, deadline)
+        leading = reduce(or_, basis.masks).to_bytes(len(variables), "little")
+        pending.pop()
+        if leading[0]:
+            equal, target, source = False, None, basis
+            current = [
+                (b"\0" + a[1:], bytes((b[0] - a[0],)) + b[1:])
+                for a, b in zip(basis.leads, basis.tails)
+            ]
+        elif target is None:
+            low = min(map(sum, basis.leads))
+            target = {d: _lead_count(basis.leads, d) for d in (low, low + 1)}
+        pending = [w for w in pending if leading[basis.index[w]]]
+    if equal:
+        return gens, True
+    return [source.binomial(a, b) for a, b in current], False
 
 
 def saturate(
@@ -281,6 +335,8 @@ class PrimalityCertificate:
     lattice_saturated: bool
     saturation_equal: bool
     witness: Binomial | TorsionWitness | None
+    # rank of the generators' exponent lattice, as is_prime found it
+    rank: int | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_prime(self) -> bool:
@@ -304,19 +360,20 @@ def is_prime(
     """
     gens = list(gens)
     if not gens:
-        return PrimalityCertificate("prime", True, True, None)
-    lattice_ok, torsion = is_saturated_lattice(exponent_lattice(gens))
+        return PrimalityCertificate("prime", True, True, None, 0)
+    rank, torsion = _rank_and_torsion(exponent_lattice(gens), deadline)
+    lattice_ok = torsion is None
     saturated, saturation_equal = _saturation(
         gens, degree_cap=degree_cap, deadline=deadline
     )
     if lattice_ok and saturation_equal:
-        return PrimalityCertificate("prime", True, True, None)
+        return PrimalityCertificate("prime", True, True, None, rank)
     witness: Binomial | TorsionWitness | None = torsion
     if lattice_ok:
         saturated = buchberger(saturated, LEX, degree_cap=degree_cap, deadline=deadline)
         basis = buchberger(gens, LEX, degree_cap=degree_cap, deadline=deadline)
         witness = next(f for f in saturated if not ideal_membership(f, basis))
-    return PrimalityCertificate("not_prime", lattice_ok, saturation_equal, witness)
+    return PrimalityCertificate("not_prime", lattice_ok, saturation_equal, witness, rank)
 
 
 @dataclass(frozen=True)
@@ -363,6 +420,6 @@ def toric_ideal_of_map(
     sources = mapping.sources()
     targets = sorted({t for image in images for t in image.vars()})
     rows = [[image.exponent(t) for image in images] for t in targets]
-    divisors, _, t_cols = _smith(rows, len(sources))
+    divisors, _, t_cols = _smith(rows, len(sources), deadline)
     lattice = [_vector_binomial(col, sources) for col in t_cols[len(divisors):]]
     return saturate(lattice, degree_cap=degree_cap, deadline=deadline)

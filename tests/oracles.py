@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from typing import Iterable, Sequence
 
 from polyminor.binomials import LEX, ONE, Binomial, Monomial, MonomialOrder, aux_var
@@ -18,6 +19,7 @@ from polyminor.geometry import (
     Interval,
     Point,
     Polyomino,
+    complement,
     is_convex,
     is_polyomino,
 )
@@ -35,6 +37,7 @@ from polyminor.toric import (
     PrimalityCertificate,
     exponent_lattice,
     is_saturated_lattice,
+    revlex_basis,
 )
 
 
@@ -96,6 +99,34 @@ def naive_inner_intervals(collection: CellCollection) -> tuple[Interval, ...]:
                     if inside:
                         found.append((Point(a_i, a_j), Point(b_i, b_j)))
     return tuple(Interval(a, b) for a, b in sorted(found))
+
+
+def flood_is_simple(collection: CellCollection) -> bool:
+    """Simplicity by flood fill of the whole bounding box plus a margin.
+
+    The collection is simple when every non-member cell of the bounding
+    box escapes to the one-cell margin around it.
+    """
+    lo_i = min(c.i for c in collection.cells) - 1
+    lo_j = min(c.j for c in collection.cells) - 1
+    hi_i = max(c.i for c in collection.cells) + 1
+    hi_j = max(c.j for c in collection.cells) + 1
+    members = {(c.i, c.j) for c in collection.cells}
+    start = (lo_i, lo_j)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        ci, cj = queue.popleft()
+        for ni, nj in ((ci - 1, cj), (ci + 1, cj), (ci, cj - 1), (ci, cj + 1)):
+            if lo_i <= ni <= hi_i and lo_j <= nj <= hi_j:
+                if (ni, nj) not in members and (ni, nj) not in seen:
+                    seen.add((ni, nj))
+                    queue.append((ni, nj))
+    for ci in range(lo_i + 1, hi_i):
+        for cj in range(lo_j + 1, hi_j):
+            if (ci, cj) not in members and (ci, cj) not in seen:
+                return False
+    return True
 
 
 def naive_free_edges(shape: Polyomino) -> int:
@@ -209,6 +240,46 @@ def localization_family() -> list[tuple[Interval, CellCollection]]:
                         continue
                     instances.append((bounding, inner))
     return instances
+
+
+# every polyomino of at most five cells, the localization family and the frame
+REFERENCE_SHAPES = (
+    [
+        Polyomino(cells)
+        for n in range(1, 6)
+        for cells in sorted(naive_fixed_polyominoes(n), key=sorted)
+    ]
+    + [complement(bounding, inner) for bounding, inner in localization_family()]
+    + [frame_shape()]
+)
+
+
+def revlex_saturation(
+    gens: list[Binomial], *, degree_cap: int = DEFAULT_DEGREE_CAP
+) -> tuple[list[Binomial], bool]:
+    """toric._saturation as it ran on Binomials, one full revlex_basis per step.
+
+    Generators of I : (product of all variables)^oo, and whether it is I.
+    Greedy: take the revlex basis with the uncertified variables last
+    and a candidate v last of all.  Every variable missing from all
+    leading terms is certified a nonzerodivisor.  If v leads, dividing
+    each element by the power of v in its leading term saturates by v.
+    """
+    current = gens
+    pending = sorted({v for g in gens for v in g.vars()}, reverse=True)
+    equal = True
+    while pending:
+        basis = revlex_basis(current, pending, degree_cap=degree_cap)
+        leading = {v for g in basis for v in g.plus.vars()}
+        v = pending.pop()
+        if v in leading:
+            equal = False
+            current = []
+            for g in basis:
+                power = Monomial(((v, g.plus.exponent(v)),))
+                current.append(Binomial(g.plus.div(power), g.minus.div(power)))
+        pending = [w for w in pending if w in leading]
+    return current, equal
 
 
 def marker_saturate(gens, variables=None) -> tuple[Binomial, ...]:

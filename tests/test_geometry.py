@@ -24,7 +24,40 @@ from polyminor.geometry import (
     is_simple,
 )
 
-from oracles import naive_free_edges, naive_inner_intervals
+from oracles import (
+    REFERENCE_SHAPES,
+    flood_is_simple,
+    naive_free_edges,
+    naive_inner_intervals,
+)
+
+
+def ring(width: int, height: int, thickness: int = 1) -> set[tuple[int, int]]:
+    t = thickness
+    return {
+        (i, j)
+        for i in range(width)
+        for j in range(height)
+        if not (t <= i < width - t and t <= j < height - t)
+    }
+
+
+def staircase(steps: int, tread: int = 2) -> set[tuple[int, int]]:
+    return {(s + d, s) for s in range(steps) for d in range(tread)}
+
+
+def comb(teeth: int, length: int) -> set[tuple[int, int]]:
+    spine = {(i, 0) for i in range(2 * teeth - 1)}
+    return spine | {(2 * t, j) for t in range(teeth) for j in range(1, length + 1)}
+
+
+def transposed(cells) -> set[tuple[int, int]]:
+    return {(j, i) for i, j in cells}
+
+
+def mirrored(cells) -> set[tuple[int, int]]:
+    top = max(j for _, j in cells)
+    return {(i, top - j) for i, j in cells}
 
 
 def points(max_coord: int = 8) -> st.SearchStrategy[Point]:
@@ -209,6 +242,25 @@ class TestSimplicity:
 
         for n in range(1, 6):
             assert all(is_simple(p) for p in enumerate_polyominoes(n))
+
+    def test_sparse_pair_is_fast(self):
+        start = time.monotonic()
+        simple = is_simple(CellCollection([(0, 0), (3000, 3000)]))
+        assert time.monotonic() - start < 1.0
+        assert simple
+
+    def test_matches_flood_fill(self):
+        shapes = [c.cells for c in REFERENCE_SHAPES]
+        shapes += [ring(40, 40), ring(36, 28), ring(24, 24, 2), ring(8, 8)]
+        shapes += [staircase(12), staircase(40), staircase(24, 3)]
+        shapes += [comb(15, 10), comb(10, 6)]
+        # a hole with an island in it, and two holes side by side
+        shapes += [ring(5, 5) | {(2, 2)}, ring(5, 3) | {(2, 1)}]
+        shapes += [transposed(cells) for cells in shapes] + [mirrored(cells) for cells in shapes]
+        assert len(shapes) == 3 * (112 + 11)
+        for cells in shapes:
+            collection = CellCollection(cells)
+            assert is_simple(collection) == flood_is_simple(collection), sorted(cells)
 
 
 class TestComplement:

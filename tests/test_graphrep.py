@@ -15,7 +15,8 @@ from polyminor.graphrep import (
     verify_representation,
 )
 from polyminor.groebner import DEFAULT_DEGREE_CAP, Deadline, buchberger, ideal_membership
-from polyminor.toric import toric_ideal_of_map
+from polyminor import toric
+from polyminor.toric import exponent_lattice, is_prime, toric_ideal_of_map
 
 from oracles import localization_family
 
@@ -85,6 +86,18 @@ class TestGridLabeling:
             assert left == right  # every local multiset constraint holds
         assert not verify_representation(frame, lab)
         assert not _kernel_equals_ideal(lab, _prime_lattice_rank(generators(frame)))
+
+    def test_prime_rank_read_from_certificate(self, frame, monkeypatch):
+        gens = generators(frame)
+        certificate = is_prime(gens)
+
+        def no_second_smith(*args):
+            raise AssertionError("the certificate already holds the rank")
+
+        monkeypatch.setattr(toric, "_smith", no_second_smith)
+        assert _prime_lattice_rank(gens, certificate) == 8
+        monkeypatch.undo()
+        assert exponent_lattice(gens).rank == 8
 
     def test_frame_extra_kernel_element_crosses_hole(self, frame):
         lab = bipartite_grid_labeling(frame)

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -31,6 +32,7 @@ from polyminor.groebner import (
 
 import oracles
 from oracles import (
+    REFERENCE_SHAPES,
     frame_shape,
     localization_family,
     naive_fixed_polyominoes,
@@ -255,18 +257,6 @@ class TestBuchberger:
         assert list(a) == sorted(a, key=lambda g: g.sort_key(LEX))
 
 
-# every polyomino of at most five cells, the localization family and the frame
-REFERENCE_SHAPES = (
-    [
-        Polyomino(cells)
-        for n in range(1, 6)
-        for cells in sorted(naive_fixed_polyominoes(n), key=sorted)
-    ]
-    + [complement(bounding, inner) for bounding, inner in localization_family()]
-    + [frame_shape()]
-)
-
-
 def first_saturation_order(gens):
     # _saturation's first revlex_basis: every variable pending, descending
     return GradedRevlex(sorted({v for g in gens for v in g.vars()}, reverse=True))
@@ -342,6 +332,39 @@ class TestSparseReference:
             for f in gens[:3]:
                 for g in gens:
                     assert s_pair(f, g) == sparse_s_pair(f, g), (f, g)
+
+
+class TestLowerDegreePairs:
+    """Inhomogeneous inputs, where a new element can pair below the open degree."""
+
+    def test_random_against_sparse_reference(self, monkeypatch):
+        formed = []
+        monkeypatch.setattr(
+            oracles, "sparse_s_pair", lambda *a: formed.append(a) or sparse_s_pair(*a)
+        )
+        rng = random.Random(5)
+        xs = [x(0, k) for k in range(4)]
+
+        def monomial(degree):
+            return Monomial((rng.choice(xs), 1) for _ in range(degree))
+
+        for _ in range(300):
+            gens = []
+            for _ in range(rng.randint(2, 3)):
+                a, b = monomial(rng.randint(1, 3)), monomial(rng.randint(0, 2))
+                if a != b:
+                    gens.append(Binomial(a, b))
+            formed.clear()
+            try:
+                want = sparse_buchberger(gens, LEX, degree_cap=12)
+            except DegreeCapExceeded as exc:
+                with pytest.raises(DegreeCapExceeded) as have:
+                    buchberger(gens, LEX, degree_cap=12)
+                assert have.value.element == exc.element, gens
+                continue
+            got = buchberger(gens, LEX, degree_cap=12)
+            assert got.elements == want.elements, gens
+            assert got.stats["s_pairs"] == len(formed), gens
 
 
 class TestExponentLimit:

@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyminor import toric
 from polyminor.binomials import (
     LEX,
     Binomial,
@@ -16,11 +18,20 @@ from polyminor.binomials import (
 from polyminor.enumeration import enumerate_polyominoes
 from polyminor.geometry import CellCollection, Interval, Point, Polyomino, complement
 from polyminor.graphrep import GraphLabeling, bipartite_grid_labeling, search_labeling
-from polyminor.groebner import buchberger, ideal_membership
+from polyminor.groebner import (
+    DEFAULT_DEGREE_CAP,
+    BudgetExceeded,
+    Deadline,
+    DegreeCapExceeded,
+    buchberger,
+    ideal_membership,
+)
 from polyminor.toric import (
     IntegerMatrix,
     MonomialMap,
+    PrimalityCertificate,
     TorsionWitness,
+    _saturation,
     _smith,
     elementary_divisors,
     exponent_lattice,
@@ -31,11 +42,14 @@ from polyminor.toric import (
     toric_ideal_of_map,
 )
 
+import oracles
 from oracles import (
+    REFERENCE_SHAPES,
     elimination_toric_ideal_of_map,
     frame_shape,
     localization_family,
     marker_primality,
+    revlex_saturation,
     sympy_rank,
     sympy_smith_divisors,
 )
@@ -103,6 +117,15 @@ class TestSmithForm:
             assert len(kernel) == ncols - sympy_rank(rows), rows
             for col in kernel:
                 assert all(sum(a * b for a, b in zip(r, col)) == 0 for r in rows)
+
+    def test_expired_deadline_raises(self):
+        expired = Deadline(at=time.monotonic() - 1)
+        with pytest.raises(BudgetExceeded):
+            _smith([[2, 4], [6, 8]], 2, expired)
+        t = [aux_var("t", k) for k in range(2)]
+        mapping = MonomialMap.of({x(0, 0): mono(t[0]), x(0, 1): mono(t[0])})
+        with pytest.raises(BudgetExceeded):
+            toric_ideal_of_map(mapping, deadline=expired)
 
     def test_rank_against_sympy_random(self):
         rng = random.Random(4242)
@@ -285,6 +308,110 @@ class TestPrimality:
     def test_simple_shapes_prime(self, s_tetromino, u_pentomino, rect_2x3):
         for shape in (s_tetromino, u_pentomino, rect_2x3):
             assert is_prime(generators(shape)).is_prime
+
+    def test_certificate_carries_lattice_rank(self, frame):
+        gens = generators(frame)
+        cert = is_prime(gens)
+        assert cert.rank == exponent_lattice(gens).rank == 8
+        assert is_prime([]).rank == 0
+        # the rank is a by-product: not compared, not printed
+        assert cert == PrimalityCertificate("prime", True, True, None)
+        assert repr(cert) == "PrimalityCertificate(verdict='prime', lattice_saturated=True, " \
+            "saturation_equal=True, witness=None)"
+
+
+# cell collections whose ideals are not prime: each saturation is larger
+NON_PRIME_COLLECTIONS = (
+    CellCollection([(0, 1), (1, 0), (1, 2), (2, 1)]),
+    CellCollection([(0, 0), (1, 1), (2, 0), (2, 2), (3, 1)]),
+    CellCollection([(0, 1), (1, 0), (1, 2), (2, 0), (2, 1), (3, 1)]),
+)
+
+
+def saturation_outcome(saturation, gens, cap):
+    """The saturation's result, or the element DegreeCapExceeded carries."""
+    try:
+        return saturation(gens, degree_cap=cap)
+    except DegreeCapExceeded as exc:
+        return exc.element
+
+
+def byte_saturation(gens, *, degree_cap):
+    return _saturation(gens, degree_cap=degree_cap, deadline=None)
+
+
+class TestRevlexSaturationReference:
+    """The byte-vector saturation loop against one full revlex_basis per step."""
+
+    def test_equal_outputs(self, monkeypatch):
+        assert not any(is_prime(generators(c)).is_prime for c in NON_PRIME_COLLECTIONS)
+        for collection in list(REFERENCE_SHAPES) + list(NON_PRIME_COLLECTIONS):
+            gens = list(generators(collection))
+            want, want_equal = revlex_saturation(gens)
+            assert byte_saturation(gens, degree_cap=DEFAULT_DEGREE_CAP)[1] == want_equal
+            assert saturate(gens) == buchberger(want, LEX).elements, collection
+            with monkeypatch.context() as m:
+                m.setattr(toric, "_saturation", lambda *a, **k: (want, want_equal))
+                certificate = is_prime(gens)
+            assert is_prime(gens) == certificate, collection
+
+    def test_random_homogeneous_binomials(self):
+        # zerodivisors found after certified variables restart the counts
+        rng = random.Random(1303)
+        xs = [x(0, k) for k in range(5)]
+
+        def monomial(degree):
+            return Monomial((rng.choice(xs), 1) for _ in range(degree))
+
+        changed = 0
+        for _ in range(1000):
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                degree = rng.randint(2, 3)
+                a, b = monomial(degree), monomial(degree)
+                if a != b:
+                    gens.append(Binomial(a, b))
+            want = revlex_saturation(gens)
+            assert byte_saturation(gens, degree_cap=DEFAULT_DEGREE_CAP) == want, gens
+            changed += not want[1]
+        assert changed > 100
+
+    def test_same_degree_cap_element(self):
+        # truncated bases add the same elements in the same order
+        for collection in list(REFERENCE_SHAPES) + list(NON_PRIME_COLLECTIONS):
+            gens = list(generators(collection))
+            for cap in (2, 3):
+                assert saturation_outcome(byte_saturation, gens, cap) == saturation_outcome(
+                    revlex_saturation, gens, cap
+                ), (collection, cap)
+
+    def test_frame_degree_caps(self):
+        gens = list(generators(frame_shape()))
+        with pytest.raises(DegreeCapExceeded) as want:
+            revlex_saturation(gens, degree_cap=2)
+        with pytest.raises(DegreeCapExceeded) as have:
+            byte_saturation(gens, degree_cap=2)
+        assert have.value.element == want.value.element
+        assert byte_saturation(gens, degree_cap=3) == revlex_saturation(gens, degree_cap=3)
+
+    def test_truncation_fires(self, monkeypatch):
+        # 4x4 minus cell (1,1): 14 revlex bases of one prime ideal
+        gens = list(generators(
+            complement(Interval(Point(0, 0), Point(4, 4)), CellCollection([(1, 1)]))
+        ))
+        formed, bases = [], []
+        complete = toric._complete
+        monkeypatch.setattr(
+            toric, "_complete", lambda *a: formed.append(complete(*a)) or formed[-1]
+        )
+        monkeypatch.setattr(
+            oracles, "revlex_basis", lambda *a, **k: bases.append(revlex_basis(*a, **k)) or bases[-1]
+        )
+        assert byte_saturation(gens, degree_cap=DEFAULT_DEGREE_CAP) == (gens, True)
+        assert revlex_saturation(gens) == (gens, True)
+        assert len(formed) == len(bases) == 14
+        assert sum(b.stats["s_pairs"] for b in bases) == 6408
+        assert sum(formed) == 3120
 
 
 class TestMonomialMap:
