@@ -175,8 +175,10 @@ class MonomialOrder:
     """Lexicographic monomial order on the variable order itself.
 
     Auxiliary variables rank above point variables and point variables
-    compare by (i, j).  A subclass defines another order by overriding
-    key.
+    compare by (i, j).  An order is its byte layout plus vector_key: laid
+    out by layout, the exponent vectors of groebner compare under the
+    order exactly as their vector_key values do.  A subclass defines
+    another order by overriding both.
     """
 
     __slots__ = ("tag",)
@@ -189,16 +191,6 @@ class MonomialOrder:
             object.__setattr__(self, name, value)
         else:
             raise AttributeError("MonomialOrder is immutable")
-
-    def key(self, m: Monomial) -> tuple:
-        """Tuple whose lexicographic comparison realizes the monomial order."""
-        return m.exps
-
-    def cmp(self, a: Monomial, b: Monomial) -> int:
-        ka, kb = self.key(a), self.key(b)
-        if ka == kb:
-            return 0
-        return 1 if ka > kb else -1
 
     def layout(self, variables: Iterable[Var]) -> tuple[Var, ...]:
         """The variable of each byte of groebner's exponent vectors."""
@@ -220,31 +212,22 @@ class GradedRevlex(MonomialOrder):
 
     The sequence runs from the largest variable to the smallest.  Higher
     degree is larger; at equal degree the monomial with the smaller
-    exponent on the last variable where the two differ is larger.  Every
-    variable of a compared monomial must be in the sequence.
+    exponent on the last variable where the two differ is larger.  A
+    variable outside the sequence ranks above all of it, and those
+    variables rank among themselves as in LEX: the order is that of
+    sorted(extra, reverse=True) + sequence, and on monomials in the
+    sequence's variables it is the sequence's own order.
     """
 
-    __slots__ = ("variables", "_slot")
+    __slots__ = ("variables",)
 
     def __init__(self, variables: Iterable[Var]) -> None:
         super().__init__("grevlex")
-        variables = tuple(variables)
-        object.__setattr__(self, "variables", variables)
-        # key position of each variable: the last one is compared first
-        object.__setattr__(
-            self, "_slot", {v: len(variables) - k for k, v in enumerate(variables)}
-        )
-
-    def key(self, m: Monomial) -> tuple:
-        """Degree, then the negated exponents from the last variable back."""
-        key = [0] * (len(self.variables) + 1)
-        for v, e in m.exps:
-            key[0] += e
-            key[self._slot[v]] = -e
-        return tuple(key)
+        object.__setattr__(self, "variables", tuple(variables))
 
     def layout(self, variables: Iterable[Var]) -> tuple[Var, ...]:
-        return self.variables[::-1]
+        extra = set(variables).difference(self.variables)
+        return self.variables[::-1] + tuple(sorted(extra))
 
     # degree, then the exponents from the last variable back, complemented
     vector_key = staticmethod(lambda b: (sum(b), b.translate(_COMPLEMENT)))
@@ -254,8 +237,8 @@ class Binomial:
     """Difference of two distinct monomials, plus - minus.
 
     A Binomial does not know which side is the initial term until it has
-    been oriented under an order; constructors that take an order store
-    the larger side in `plus`.
+    been oriented under an order: make stores the LEX-larger side in
+    `plus`, and groebner orients under any order on its byte vectors.
     """
 
     __slots__ = ("plus", "minus", "_hash")
@@ -274,19 +257,12 @@ class Binomial:
         raise AttributeError("Binomial is immutable")
 
     @classmethod
-    def make(
-        cls, a: Monomial, b: Monomial, order: MonomialOrder = LEX
-    ) -> "Binomial | None":
-        """Oriented binomial a - b, or None when the difference is zero."""
-        c = order.cmp(a, b)
-        if c == 0:
+    def make(cls, a: Monomial, b: Monomial) -> "Binomial | None":
+        """a - b oriented under LEX, or None when the difference is zero."""
+        if a == b:
             return None
-        return cls(a, b) if c > 0 else cls(b, a)
-
-    def oriented(self, order: MonomialOrder = LEX) -> "Binomial":
-        if order.cmp(self.plus, self.minus) >= 0:
-            return self
-        return Binomial(self.minus, self.plus)
+        # the stored exponent tuples are the LEX keys
+        return cls(a, b) if a.exps > b.exps else cls(b, a)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Binomial):
@@ -303,9 +279,6 @@ class Binomial:
     def vars(self) -> frozenset[Var]:
         return frozenset(self.plus.vars()) | frozenset(self.minus.vars())
 
-    def sort_key(self, order: MonomialOrder = LEX) -> tuple:
-        return (order.key(self.plus), order.key(self.minus))
-
     def __repr__(self) -> str:
         return f"{self.plus!r} - {self.minus!r}"
 
@@ -320,7 +293,7 @@ def inner_minor(interval: Interval) -> Binomial:
     c, d = interval.anti_diagonal_corners
     diag = Monomial.from_vars((point_var(a), point_var(b)))
     anti = Monomial.from_vars((point_var(c), point_var(d)))
-    f = Binomial.make(diag, anti, LEX)
+    f = Binomial.make(diag, anti)
     assert f is not None and f.plus == diag
     return f
 

@@ -471,7 +471,7 @@ class _Search:
         for key in sorted(groups):
             first, *rest = groups[key]
             for pair in rest:
-                f = Binomial.make(Monomial.from_vars(first), Monomial.from_vars(pair), LEX)
+                f = Binomial.make(Monomial.from_vars(first), Monomial.from_vars(pair))
                 if f is not None and not ideal_membership(f, self.ideal_basis):
                     return f
         return None

@@ -184,10 +184,10 @@ class _Vectors:
 
 
 def s_pair(f: Binomial, g: Binomial, order: MonomialOrder = LEX) -> Binomial | None:
-    """S-polynomial of two oriented binomials, or None when it vanishes."""
+    """S-polynomial of two binomials under the order, or None when it vanishes."""
     vectors = _Vectors(order, f.vars() | g.vars())
     for h in (f, g):
-        vectors.append(*vectors.pair(h.oriented(order)))
+        vectors.append(*vectors.orient(*vectors.pair(h)))
     s = vectors.s_pair(0, 1, bytes(map(max, *vectors.leads)))
     return None if s is None else vectors.binomial(*s)
 
@@ -201,11 +201,10 @@ def reduce(
     larger side first; the basis elements must already be oriented under
     the order.
     """
-    f = f.oriented(order)
     vectors = _Vectors(order, f.vars().union(*(g.vars() for g in basis)))
     for g in basis:
         vectors.append(*vectors.pair(g))
-    h = vectors.normal_form(*vectors.pair(f))
+    h = vectors.normal_form(*vectors.orient(*vectors.pair(f)))
     return None if h is None else vectors.binomial(*h)
 
 

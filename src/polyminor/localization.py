@@ -245,7 +245,7 @@ def _core_binomial(
         plus = plus.mul(Monomial(((cvar, cp),)))
     if cm:
         minus = minus.mul(Monomial(((cvar, cm),)))
-    return Binomial.make(plus, minus, LEX)
+    return Binomial.make(plus, minus)
 
 
 @dataclass(frozen=True)

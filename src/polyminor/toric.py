@@ -201,7 +201,7 @@ class TorsionWitness(NamedTuple):
 def _vector_binomial(vector: Iterable[int], columns: tuple[Var, ...]) -> Binomial:
     pos = Monomial((v, e) for v, e in zip(columns, vector) if e > 0)
     neg = Monomial((v, -e) for v, e in zip(columns, vector) if e < 0)
-    f = Binomial.make(pos, neg, LEX)
+    f = Binomial.make(pos, neg)
     assert f is not None
     return f
 

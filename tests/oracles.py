@@ -7,12 +7,21 @@ desk-scale inputs.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from collections import deque
 from typing import Iterable, Sequence
 
-from polyminor.binomials import LEX, ONE, Binomial, Monomial, MonomialOrder, aux_var
+from polyminor.binomials import (
+    LEX,
+    ONE,
+    Binomial,
+    GradedRevlex,
+    Monomial,
+    MonomialOrder,
+    aux_var,
+)
 from polyminor.geometry import (
     Cell,
     CellCollection,
@@ -292,7 +301,7 @@ def marker_saturate(gens, variables=None) -> tuple[Binomial, ...]:
     homogeneous or not.
     """
     marker = aux_var("m", 0)
-    current = [g.oriented(LEX) for g in gens]
+    current = [oriented(g, LEX) for g in gens]
     if variables is None:
         variables = {v for g in current for v in g.vars()}
     for v in sorted(variables):
@@ -336,7 +345,7 @@ def elimination_toric_ideal_of_map(
         source_mon = Monomial(((v, 1),))
         if any(t <= v for t in image.vars()):
             raise ValueError(f"target monomial {image} does not dominate source {v}")
-        f = Binomial.make(image, source_mon, LEX)
+        f = Binomial.make(image, source_mon)
         if f is None:
             raise ValueError("image equals source variable")
         relations.append(f)
@@ -348,17 +357,55 @@ def elimination_toric_ideal_of_map(
 
 # The Buchberger engine on sparse Monomial arithmetic, as the package ran it
 # before its byte exponent vectors: same pair selection, S-pairs and
-# rewriting choices, so every intermediate element must agree.
+# rewriting choices, so every intermediate element must agree.  Its orders
+# are the package's sparse order keys from before the byte layouts.
+
+
+@functools.cache
+def _revlex_slots(order: GradedRevlex) -> dict:
+    # key position of each variable: the last one is compared first
+    n = len(order.variables)
+    return {v: n - k for k, v in enumerate(order.variables)}
+
+
+def order_key(order: MonomialOrder, m: Monomial) -> tuple:
+    """Tuple whose lexicographic comparison realizes the monomial order.
+
+    LEX is the stored exponent tuple itself; a GradedRevlex key is the
+    degree, then the negated exponents from the last variable back, and
+    every variable of m must be in the sequence.
+    """
+    if not isinstance(order, GradedRevlex):
+        return m.exps
+    slot = _revlex_slots(order)
+    key = [0] * (len(order.variables) + 1)
+    for v, e in m.exps:
+        key[0] += e
+        key[slot[v]] = -e
+    return tuple(key)
+
+
+def order_cmp(order: MonomialOrder, a: Monomial, b: Monomial) -> int:
+    ka, kb = order_key(order, a), order_key(order, b)
+    return (ka > kb) - (ka < kb)
+
+
+def oriented(f: Binomial, order: MonomialOrder) -> Binomial:
+    return f if order_cmp(order, f.plus, f.minus) >= 0 else Binomial(f.minus, f.plus)
+
+
+def sort_key(f: Binomial, order: MonomialOrder) -> tuple:
+    return (order_key(order, f.plus), order_key(order, f.minus))
 
 
 def sparse_s_pair(f: Binomial, g: Binomial, order: MonomialOrder = LEX) -> Binomial | None:
     """S-polynomial of two oriented binomials, or None when it vanishes."""
-    f = f.oriented(order)
-    g = g.oriented(order)
+    f = oriented(f, order)
+    g = oriented(g, order)
     lcm = f.plus.lcm(g.plus)
     left = lcm.div(g.plus).mul(g.minus)
     right = lcm.div(f.plus).mul(f.minus)
-    return Binomial.make(left, right, order)
+    return None if left == right else oriented(Binomial(left, right), order)
 
 
 def sparse_reduce(
@@ -370,7 +417,7 @@ def sparse_reduce(
     larger side first; the basis elements must already be oriented under
     the order.
     """
-    f = f.oriented(order)
+    f = oriented(f, order)
     a, b = f.plus, f.minus
     while True:
         for g in basis:
@@ -386,7 +433,7 @@ def sparse_reduce(
                 return Binomial(a, b)
         if a == b:
             return None
-        if order.cmp(a, b) < 0:
+        if order_cmp(order, a, b) < 0:
             a, b = b, a
 
 
@@ -394,11 +441,11 @@ def _sparse_prepare(gens: Iterable[Binomial], order: MonomialOrder) -> list[Bino
     seen = set()
     out = []
     for f in gens:
-        g = f.oriented(order)
+        g = oriented(f, order)
         if g not in seen:
             seen.add(g)
             out.append(g)
-    out.sort(key=lambda g: g.sort_key(order))
+    out.sort(key=lambda g: sort_key(g, order))
     return out
 
 
@@ -420,7 +467,7 @@ def _sparse_autoreduce(
                 break
             if h != g:
                 basis[idx] = h
-                basis.sort(key=lambda e: e.sort_key(order))
+                basis.sort(key=lambda e: sort_key(e, order))
                 changed = True
                 break
     return basis
@@ -443,7 +490,7 @@ def sparse_buchberger(
     deadline = deadline or Deadline.unlimited()
     basis = _sparse_prepare(gens, order)
     # per element: its sort key and initial-term variables, shared by its pairs
-    sort_keys = [g.sort_key(order) for g in basis]
+    sort_keys = [sort_key(g, order) for g in basis]
     lead_vars = [frozenset(g.plus.vars()) for g in basis]
     pairs: list[tuple] = []
 
@@ -455,7 +502,7 @@ def sparse_buchberger(
             if g_vars.isdisjoint(lead_vars[i]):
                 continue
             lcm = basis[i].plus.lcm(g.plus)
-            key = (lcm.degree, order.key(lcm), sort_keys[i], g_key)
+            key = (lcm.degree, order_key(order, lcm), sort_keys[i], g_key)
             heapq.heappush(pairs, (key, i, j))
 
     for j in range(len(basis)):
@@ -474,7 +521,7 @@ def sparse_buchberger(
         if h.degree > degree_cap:
             raise DegreeCapExceeded(h, degree_cap)
         basis.append(h)
-        sort_keys.append(h.sort_key(order))
+        sort_keys.append(sort_key(h, order))
         lead_vars.append(frozenset(h.plus.vars()))
         push_pairs(len(basis) - 1)
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,9 @@ from polyminor.binomials import (
     point_var,
 )
 from polyminor.geometry import Interval, Point
+from polyminor.groebner import _Vectors
+
+from oracles import order_cmp, oriented
 
 
 def x(i: int, j: int) -> Var:
@@ -23,6 +28,18 @@ def x(i: int, j: int) -> Var:
 
 def mono(*vs: Var) -> Monomial:
     return Monomial.from_vars(vs)
+
+
+def byte_key(order, variables):
+    """The order's key of a monomial, through groebner's byte vectors."""
+    vectors = _Vectors(order, variables)
+    return lambda m: order.vector_key(vectors.encode(m))
+
+
+def byte_cmp(order, a, b):
+    key = byte_key(order, set(a.vars()) | set(b.vars()))
+    ka, kb = key(a), key(b)
+    return (ka > kb) - (ka < kb)
 
 
 def var_strategy() -> st.SearchStrategy[Var]:
@@ -100,21 +117,21 @@ class TestMonomial:
     @settings(max_examples=100)
     def test_lex_respects_multiplication(self, a, b):
         # multiplying both sides by the same monomial keeps the comparison
-        c = LEX.cmp(a, b)
+        c = byte_cmp(LEX, a, b)
         m = mono(x(2, 2), x(0, 1))
-        assert LEX.cmp(a.mul(m), b.mul(m)) == c
+        assert byte_cmp(LEX, a.mul(m), b.mul(m)) == c
 
 
 class TestLexOrder:
     def test_matches_variable_order(self):
-        assert LEX.cmp(mono(x(1, 0)), mono(x(0, 5), x(0, 5))) > 0
+        assert byte_cmp(LEX, mono(x(1, 0)), mono(x(0, 5), x(0, 5))) > 0
 
     def test_degree_on_equal_leading_var(self):
-        assert LEX.cmp(mono(x(1, 1), x(1, 1)), mono(x(1, 1))) > 0
+        assert byte_cmp(LEX, mono(x(1, 1), x(1, 1)), mono(x(1, 1))) > 0
 
     def test_key_is_stable_sort_key(self):
         ms = [mono(x(0, 1)), mono(x(2, 0)), mono(x(1, 1), x(0, 0))]
-        ordered = sorted(ms, key=LEX.key)
+        ordered = sorted(ms, key=byte_key(LEX, {v for m in ms for v in m.vars()}))
         assert ordered[0] == mono(x(0, 1))
         assert ordered[-1] == mono(x(2, 0))
 
@@ -127,22 +144,22 @@ class TestGradedRevlex:
         listed = [
             mono(a, a), mono(a, b), mono(b, b), mono(a, c), mono(b, c), mono(c, c)
         ]
-        assert sorted(listed, key=order.key, reverse=True) == listed
-        assert order.cmp(mono(c, c, c), mono(a, a)) > 0
+        assert sorted(listed, key=byte_key(order, (a, b, c)), reverse=True) == listed
+        assert byte_cmp(order, mono(c, c, c), mono(a, a)) > 0
 
     def test_last_variable_is_smallest(self):
         # sequence order, not the variable order, decides
         a, b = x(0, 0), x(3, 3)
-        assert GradedRevlex((a, b)).cmp(mono(a), mono(b)) > 0
-        assert GradedRevlex((b, a)).cmp(mono(a), mono(b)) < 0
+        assert byte_cmp(GradedRevlex((a, b)), mono(a), mono(b)) > 0
+        assert byte_cmp(GradedRevlex((b, a)), mono(a), mono(b)) < 0
 
     @given(monomial_strategy(), monomial_strategy())
     @settings(max_examples=100)
     def test_respects_multiplication(self, a, b):
         order = GradedRevlex(x(i, j) for i in range(6) for j in range(6))
-        c = order.cmp(a, b)
+        c = byte_cmp(order, a, b)
         m = mono(x(2, 2), x(0, 1))
-        assert order.cmp(a.mul(m), b.mul(m)) == c
+        assert byte_cmp(order, a.mul(m), b.mul(m)) == c
         assert (c == 0) == (a == b)
 
 
@@ -162,7 +179,66 @@ class TestBinomial:
 
     def test_initial_term(self):
         f = inner_minor(Interval(Point(0, 0), Point(1, 1)))
-        assert f.oriented(LEX).plus == mono(x(0, 0), x(1, 1))
+        vectors = _Vectors(LEX, f.vars())
+        lead, _ = vectors.orient(*vectors.pair(Binomial(f.minus, f.plus)))
+        assert lead == vectors.encode(mono(x(0, 0), x(1, 1)))
+
+
+class TestByteOrdersAgainstSparseKeys:
+    """groebner's byte layouts orient every pair as the oracle's sparse keys do."""
+
+    VARIABLES = [x(i, j) for i in range(3) for j in range(3)] + [
+        aux_var("t", k) for k in range(3)
+    ]
+
+    def pairs(self, seed):
+        rng = random.Random(seed)
+
+        def monomial():
+            return Monomial(
+                (rng.choice(self.VARIABLES), rng.randint(1, 3))
+                for _ in range(rng.randint(0, 4))
+            )
+
+        def pair():
+            a = monomial()
+            if a.is_one() or rng.random() < 0.5:
+                return a, monomial()
+            # one unit of a moved to another variable: the two variables decide
+            v, w = rng.choice(a.vars()), rng.choice(self.VARIABLES)
+            return a, a.div(Monomial(((v, 1),))).mul(Monomial(((w, 1),)))
+
+        return [pair() for _ in range(400)]
+
+    def orders(self):
+        # (order, its oracle reference); the last sequence leaves out the
+        # aux variables, which then rank above it as in LEX
+        rng = random.Random(7)
+        shuffled = rng.sample(self.VARIABLES, len(self.VARIABLES))
+        points = [v for v in shuffled if v.rank == 0]
+        extended = sorted(set(self.VARIABLES) - set(points), reverse=True) + points
+        yield LEX, LEX
+        for sequence in (sorted(self.VARIABLES, reverse=True), sorted(self.VARIABLES), shuffled):
+            order = GradedRevlex(sequence)
+            yield order, order
+        yield GradedRevlex(points), GradedRevlex(extended)
+
+    def test_orient_matches_order_cmp(self):
+        for order, reference in self.orders():
+            for a, b in self.pairs(11):
+                vectors = _Vectors(order, set(a.vars()) | set(b.vars()))
+                ea, eb = vectors.encode(a), vectors.encode(b)
+                c = order_cmp(reference, a, b)
+                assert (order.vector_key(ea) == order.vector_key(eb)) == (c == 0)
+                assert vectors.orient(ea, eb) == ((ea, eb) if c > 0 else (eb, ea)), (a, b)
+
+    def test_make_matches_lex_orientation(self):
+        for a, b in self.pairs(12):
+            f = Binomial.make(a, b)
+            if a == b:
+                assert f is None
+            else:
+                assert f == oriented(Binomial(a, b), LEX), (a, b)
 
 
 class TestInnerMinor:
@@ -185,7 +261,8 @@ class TestInnerMinor:
     @settings(max_examples=100)
     def test_diagonal_always_leads(self, i, j, w, h):
         f = inner_minor(Interval(Point(i, j), Point(i + w, j + h)))
-        assert f.oriented(LEX).plus == f.plus
+        vectors = _Vectors(LEX, f.vars())
+        assert vectors.orient(*vectors.pair(f)) == vectors.pair(f)
         corners = {v.point for v in f.plus.vars()}
         assert corners == {Point(i, j), Point(i + w, j + h)}
 

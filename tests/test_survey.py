@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 
@@ -127,6 +128,18 @@ class TestJson:
         a = rows_ndjson(survey(2, budget_seconds=None))
         b = rows_ndjson(survey(2, budget_seconds=None))
         assert a == b
+
+    @pytest.mark.parametrize(
+        "max_cells, digest",
+        [
+            (5, "e94593e54ccfdb86c36670246985167b6c76996be0e467ec1d51ccf1bff83711"),
+            (6, "aa5249588c533182807748d2c35b0f2237e0b5f65e495557fe30cf4201bde09b"),
+        ],
+    )
+    def test_ndjson_digest_pinned(self, max_cells, digest):
+        # every verdict, certificate, labeling and trace count, byte for byte
+        text = rows_ndjson(survey(max_cells, budget_seconds=None))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestTable:

@@ -25,6 +25,7 @@ from polyminor.groebner import (
     DegreeCapExceeded,
     buchberger,
     ideal_membership,
+    reduce,
 )
 from polyminor.toric import (
     IntegerMatrix,
@@ -263,6 +264,19 @@ class TestRevlexBasis:
         basis = revlex_basis(generators(frame), (v,))
         assert basis.order.variables[-1] == v
         assert len(set(basis.order.variables)) == 16
+
+    def test_membership_with_outside_variable(self):
+        # x(9,9) is not in the order's sequence; it ranks above all of it
+        gens = generators(CellCollection([(0, 0), (1, 0)]))
+        basis, lex = revlex_basis(gens, ()), buchberger(gens, LEX)
+        w = mono(x(9, 9))
+        member = Binomial(gens[0].plus.mul(w), gens[0].minus.mul(w))
+        outsider = Binomial.make(mono(x(0, 0), x(9, 9)), mono(x(0, 1), x(9, 9)))
+        for f, expected in ((member, True), (outsider, False)):
+            assert lex.contains(f) is expected
+            assert basis.contains(f) is expected
+            assert ideal_membership(f, basis) is expected
+            assert (reduce(f, basis.elements, basis.order) is None) is expected
 
     def test_non_homogeneous_rejected(self):
         f = Binomial.make(mono(x(1, 0)), mono(x(0, 0), x(0, 0)))
