@@ -134,15 +134,11 @@ def _cmd_prime(args) -> int:
         degree_cap=args.degree_cap,
         deadline=_deadline(args),
     )
-    witness = None if cert.witness is None else repr(cert.witness)
+    payload = cert.as_json()
+    witness = payload["witness"]
     _emit(
         args,
-        {
-            "verdict": cert.verdict,
-            "lattice_saturated": cert.lattice_saturated,
-            "saturation_equal": cert.saturation_equal,
-            "witness": witness,
-        },
+        payload,
         f"{cert.verdict} (lattice_saturated={cert.lattice_saturated}, "
         f"saturation_equal={cert.saturation_equal}"
         + (f", witness={witness}" if witness else "")

@@ -16,15 +16,21 @@ renaming of it.
 A complete labeling satisfies every constraint, so each inner minor maps
 to zero and the minor ideal I, whose generators span the exponent lattice
 L, lies in the kernel J.  J is the lattice ideal of the saturated lattice
-M of integer relations among the edge vectors, so it is prime, and
-rank M = #variables - rank(incidence matrix).  Hence J = I exactly when
-I is prime and rank L = rank M.  If so, I equals its saturation by the
-product of all variables, which is the lattice ideal of the saturated L
+M of integer relations among the edge vectors, so it is prime.  One Smith
+step on the labeling's matrix gives a basis B of M, and rank M is the
+number of its kernel columns.  Hence J = I exactly when I is prime and
+rank L = rank M.  If so, I equals its saturation by the product of all
+variables, which is the lattice ideal of the saturated L
 (Eisenbud-Sturmfels, "Binomial ideals"), and a saturated L inside M of
 equal rank is M.  Conversely every binomial of I = J has its exponent
 difference in L, so M lies in L.  Labelings are accepted by this exact
-test, with no elimination; a rejected labeling still yields a kernel
-element outside the ideal as its witness.
+test, with no elimination.
+
+A rejected labeling still yields a kernel element outside the ideal as
+its witness, and the same basis B seeds that kernel.  I lies in J because
+every constraint holds, the ideal I_B of B lies in J, and J is prime, so
+J = I_B : (prod x)^oo = (I + I_B) : (prod x)^oo (Sturmfels, "Groebner
+Bases and Convex Polytopes", Lemma 12.2).
 """
 
 from __future__ import annotations
@@ -42,10 +48,11 @@ from .groebner import (
     ideal_membership,
 )
 from .toric import (
-    IntegerMatrix,
     MonomialMap,
     PrimalityCertificate,
+    _kernel_lattice,
     is_prime,
+    saturate,
     toric_ideal_of_map,
 )
 
@@ -168,50 +175,6 @@ def verify_representation(
     return kernel == buchberger(
         generators(collection), LEX, degree_cap=degree_cap, deadline=deadline
     ).elements
-
-
-def _prime_lattice_rank(
-    gens: tuple[Binomial, ...],
-    certificate: PrimalityCertificate | None = None,
-    *,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-    deadline: Deadline | None = None,
-) -> int | None:
-    """Rank of the ideal's exponent lattice when the ideal is prime, else None.
-
-    certificate, when given, is the ideal's is_prime certificate, which
-    is then not computed again; the certificate carries the rank.
-    """
-    if certificate is None:
-        certificate = is_prime(gens, degree_cap=degree_cap, deadline=deadline)
-    if not certificate.is_prime:
-        return None
-    return certificate.rank
-
-
-def _incidence_rank(labeling: GraphLabeling) -> int:
-    vertices = sorted({u for _, e in labeling.edges for u in e})
-    column = {u: k for k, u in enumerate(vertices)}
-    rows = []
-    for _, e in labeling.edges:
-        row = [0] * len(vertices)
-        for u in e:
-            row[column[u]] = 1
-        rows.append(tuple(row))
-    return IntegerMatrix(tuple(aux_var("t", u) for u in vertices), tuple(rows)).rank
-
-
-def _kernel_equals_ideal(labeling: GraphLabeling, prime_rank: int | None) -> bool:
-    """Whether the kernel of a labeling meeting every constraint is the ideal.
-
-    prime_rank is the ideal's _prime_lattice_rank.  The ideal lies in the
-    prime kernel, whose lattice has rank #variables - rank(incidence
-    matrix), and the two are equal exactly when the ideal is prime with a
-    lattice of that rank (see the module docstring).
-    """
-    if prime_rank is None:
-        return False
-    return prime_rank == len(labeling.edges) - _incidence_rank(labeling)
 
 
 @dataclass(frozen=True)
@@ -478,22 +441,29 @@ class _Search:
 
     @cached_property
     def prime_rank(self) -> int | None:
-        return _prime_lattice_rank(
-            self.gens,
-            self.certificate,
-            degree_cap=self.degree_cap,
-            deadline=self.deadline,
-        )
+        """Rank of the ideal's exponent lattice when the ideal is prime, else None.
+
+        A certificate given to the search is not computed again; it
+        carries the rank.
+        """
+        certificate = self.certificate
+        if certificate is None:
+            certificate = is_prime(
+                self.gens, degree_cap=self.degree_cap, deadline=self.deadline
+            )
+        return certificate.rank if certificate.is_prime else None
 
     def verify_full(self, depth: int) -> GraphLabeling | None:
         """The labeling when its kernel equals the ideal, else None.
 
-        A kernel quadric outside the ideal rejects first.  Otherwise the
-        kernel equals the ideal exactly when the ideal is prime and its
-        lattice rank is #variables - rank(incidence matrix), since the
-        ideal lies in the prime kernel.  When it does not, some element of
-        the kernel's reduced LEX basis lies outside the ideal and becomes
-        the rejection witness.
+        A kernel quadric outside the ideal rejects first.  Otherwise one
+        Smith step gives a basis of the relation lattice M, and rank M is
+        the number of its kernel columns.  The ideal lies in the prime
+        kernel, so the two are equal exactly when the ideal is prime with
+        a lattice of rank M.  When they are not, the kernel is the
+        saturation of the minors together with that basis (see the module
+        docstring), and the first element of its reduced LEX basis outside
+        the ideal becomes the rejection witness.
         """
         witness = self._quadratic_witness()
         if witness is not None:
@@ -506,14 +476,13 @@ class _Search:
             )
             return None
         labeling = GraphLabeling(tuple(self.assignment.items()))
-        if _kernel_equals_ideal(labeling, self.prime_rank):
+        lattice = _kernel_lattice(labeling.monomial_map(), self.deadline)
+        if self.prime_rank == len(lattice):
             self.log("accept", "kernel equals the ideal", depth,
                      assignment=self.snapshot())
             return labeling
-        kernel = toric_ideal_of_map(
-            labeling.monomial_map(),
-            degree_cap=self.degree_cap,
-            deadline=self.deadline,
+        kernel = saturate(
+            [*self.gens, *lattice], degree_cap=self.degree_cap, deadline=self.deadline
         )
         for f in kernel:
             if not ideal_membership(f, self.ideal_basis):
@@ -593,7 +562,10 @@ def search_labeling(
     twice the number of lattice points.  The cap is a constant, not a
     parameter: a labeling has one edge per point, so up to renaming its
     vertices all lie below the cap, and an exhausted search is therefore
-    a proof of non-representability.
+    a proof of non-representability.  Each complete labeling is verified
+    from one lattice step: it is accepted by the rank of its relation
+    lattice, and a rejection's witness comes from the kernel seeded with
+    the minors and that lattice's basis (see the module docstring).
 
     _certificate is private to the package: survey_row passes the
     is_prime certificate of the collection's generators it has already

@@ -127,15 +127,7 @@ def survey(
 
 def row_json(row: SurveyRow) -> dict:
     """JSON projection with a fixed key order."""
-    cert = None
-    if row.certificate is not None:
-        witness = row.certificate.witness
-        cert = {
-            "verdict": row.certificate.verdict,
-            "lattice_saturated": row.certificate.lattice_saturated,
-            "saturation_equal": row.certificate.saturation_equal,
-            "witness": None if witness is None else repr(witness),
-        }
+    cert = None if row.certificate is None else row.certificate.as_json()
     graph = {
         "status": row.graph_rep,
         "vertex_count": row.labeling.vertex_count if row.labeling else None,

@@ -132,11 +132,14 @@ def _smith(
     t = 0
     while t < m and t < n:
         deadline.check("Smith normal form")
-        pivot = None
+        # the first entry of least absolute value; no entry is below a unit
+        pivot, least = None, 0
         for r in range(t, m):
             for c in range(t, n):
-                if a[r][c] and (pivot is None or abs(a[r][c]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (r, c)
+                if a[r][c] and (pivot is None or abs(a[r][c]) < least):
+                    pivot, least = (r, c), abs(a[r][c])
+            if least == 1:
+                break
         if pivot is None:
             break
         r0, c0 = pivot
@@ -163,9 +166,10 @@ def _smith(
                         dirty = True
             if not dirty:
                 break
-        # enforce divisibility of every remaining entry by the pivot
+        # enforce divisibility of every remaining entry by the pivot, which
+        # a unit pivot has already
         fixed = True
-        for r in range(t + 1, m):
+        for r in range(t + 1, m) if abs(a[t][t]) > 1 else ():
             for c in range(t + 1, n):
                 if a[r][c] % a[t][t]:
                     add_col(t, c, 1)
@@ -342,6 +346,15 @@ class PrimalityCertificate:
     def is_prime(self) -> bool:
         return self.verdict == "prime"
 
+    def as_json(self) -> dict:
+        """JSON projection with a fixed key order; the witness is its repr."""
+        return {
+            "verdict": self.verdict,
+            "lattice_saturated": self.lattice_saturated,
+            "saturation_equal": self.saturation_equal,
+            "witness": None if self.witness is None else repr(self.witness),
+        }
+
 
 def is_prime(
     gens: Iterable[Binomial],
@@ -398,6 +411,28 @@ class MonomialMap:
         return tuple(v for v, _ in self.assignment)
 
 
+def _kernel_lattice(
+    mapping: MonomialMap, deadline: Deadline | None = None
+) -> list[Binomial]:
+    """Binomials of an integer basis of the map's relation lattice.
+
+    The lattice is the integer kernel of the targets x sources exponent
+    matrix, read off _smith's column transform, so its rank is the
+    number of returned binomials.  Every image must have the same
+    positive degree, so each binomial is homogeneous, as saturate needs.
+    """
+    images = [image for _, image in mapping.assignment]
+    degrees = {image.degree for image in images}
+    if len(degrees) > 1 or 0 in degrees:
+        raise ValueError(f"image degrees {sorted(degrees)} are not one positive degree")
+    sources = mapping.sources()
+    exponents = [dict(image.exps) for image in images]
+    targets = sorted({t for exps in exponents for t in exps})
+    rows = [[exps.get(t, 0) for exps in exponents] for t in targets]
+    divisors, _, t_cols = _smith(rows, len(sources), deadline)
+    return [_vector_binomial(col, sources) for col in t_cols[len(divisors):]]
+
+
 def toric_ideal_of_map(
     mapping: MonomialMap,
     *,
@@ -406,20 +441,11 @@ def toric_ideal_of_map(
 ) -> tuple[Binomial, ...]:
     """Kernel of the monomial map, as a reduced LEX basis in the source variables.
 
-    The kernel is the lattice ideal of the integer kernel of the targets x
-    sources exponent matrix, read off _smith's column transform.  It is
-    the saturation of the ideal of that lattice basis by the product of
-    the source variables (Sturmfels, "Groebner Bases and Convex
-    Polytopes", Lemma 12.2).  Every image must have the same positive
-    degree, so each basis binomial is homogeneous, as saturate needs.
+    The kernel is the lattice ideal of the map's relation lattice
+    (_kernel_lattice), so it is the saturation of the ideal of that
+    lattice basis by the product of the source variables (Sturmfels,
+    "Groebner Bases and Convex Polytopes", Lemma 12.2).
     """
-    images = [image for _, image in mapping.assignment]
-    degrees = {image.degree for image in images}
-    if len(degrees) > 1 or 0 in degrees:
-        raise ValueError(f"image degrees {sorted(degrees)} are not one positive degree")
-    sources = mapping.sources()
-    targets = sorted({t for image in images for t in image.vars()})
-    rows = [[image.exponent(t) for image in images] for t in targets]
-    divisors, _, t_cols = _smith(rows, len(sources), deadline)
-    lattice = [_vector_binomial(col, sources) for col in t_cols[len(divisors):]]
-    return saturate(lattice, degree_cap=degree_cap, deadline=deadline)
+    return saturate(
+        _kernel_lattice(mapping, deadline), degree_cap=degree_cap, deadline=deadline
+    )

@@ -7,8 +7,6 @@ from polyminor.geometry import CellCollection, Interval, Point, complement
 from polyminor.graphrep import (
     GraphLabeling,
     _Search,
-    _kernel_equals_ideal,
-    _prime_lattice_rank,
     bipartite_grid_labeling,
     relation_constraints,
     search_labeling,
@@ -16,13 +14,20 @@ from polyminor.graphrep import (
 )
 from polyminor.groebner import DEFAULT_DEGREE_CAP, Deadline, buchberger, ideal_membership
 from polyminor import toric
-from polyminor.toric import exponent_lattice, is_prime, toric_ideal_of_map
+from polyminor.survey import row_id
+from polyminor.toric import _kernel_lattice, exponent_lattice, is_prime, toric_ideal_of_map
 
 from oracles import localization_family
 
 
 def x(i, j):
     return point_var(Point(i, j))
+
+
+def accepts(shape, lab):
+    """The search's accept test on a labeling that meets every constraint."""
+    search = _Search(shape, Deadline.unlimited(), DEFAULT_DEGREE_CAP)
+    return search.prime_rank == len(_kernel_lattice(lab.monomial_map()))
 
 
 class TestConstraints:
@@ -85,17 +90,18 @@ class TestGridLabeling:
             right = tuple(sorted(assignment[c.right[0]] + assignment[c.right[1]]))
             assert left == right  # every local multiset constraint holds
         assert not verify_representation(frame, lab)
-        assert not _kernel_equals_ideal(lab, _prime_lattice_rank(generators(frame)))
+        assert not accepts(frame, lab)
 
     def test_prime_rank_read_from_certificate(self, frame, monkeypatch):
         gens = generators(frame)
         certificate = is_prime(gens)
+        search = _Search(frame, Deadline.unlimited(), DEFAULT_DEGREE_CAP, certificate)
 
         def no_second_smith(*args):
             raise AssertionError("the certificate already holds the rank")
 
         monkeypatch.setattr(toric, "_smith", no_second_smith)
-        assert _prime_lattice_rank(gens, certificate) == 8
+        assert search.prime_rank == 8
         monkeypatch.undo()
         assert exponent_lattice(gens).rank == 8
 
@@ -131,8 +137,7 @@ class TestGridLabeling:
         for shape in enumerate_polyominoes(5):
             lab = bipartite_grid_labeling(shape)
             verified = verify_representation(shape, lab)
-            rank = _prime_lattice_rank(generators(shape))
-            assert _kernel_equals_ideal(lab, rank) == verified, shape
+            assert accepts(shape, lab) == verified, shape
             if not verified:
                 failures.add(shape.canonical_key())
         assert failures == u_orientations
@@ -228,6 +233,33 @@ class TestSearch:
         kernel_basis = buchberger(toric_ideal_of_map(lab.monomial_map()))
         assert ideal_membership(event.witness, kernel_basis)
         assert not ideal_membership(event.witness, buchberger(generators(cells)))
+
+    @pytest.mark.parametrize(
+        "ident",
+        [
+            "7c:0.0,0.1,1.0,2.0,3.0,3.1,4.0",
+            "7c:0.0,0.3,1.0,1.1,1.2,1.3,1.4",
+            "7c:0.1,1.1,2.1,2.2,3.1,4.0,4.1",
+            "7c:0.2,1.0,1.1,1.2,1.3,1.4,2.4",
+        ],
+    )
+    def test_strict_witness_matches_unseeded_kernel(self, ident):
+        # the witness comes from the kernel seeded with the minors; it is the
+        # first element of the unseeded kernel basis outside the ideal
+        shape = CellCollection(
+            tuple(map(int, cell.split("."))) for cell in ident[3:].split(",")
+        )
+        assert row_id(shape) == ident
+        (event,) = [
+            e
+            for e in search_labeling(shape).trace
+            if e.detail == "labeling kernel strictly contains the ideal"
+        ]
+        kernel = toric_ideal_of_map(GraphLabeling(event.assignment).monomial_map())
+        ideal_basis = buchberger(generators(shape))
+        assert event.witness == next(
+            f for f in kernel if not ideal_membership(f, ideal_basis)
+        )
 
     def test_requires_constraints(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import functools
 import random
 import time
 
@@ -32,6 +33,7 @@ from polyminor.toric import (
     MonomialMap,
     PrimalityCertificate,
     TorsionWitness,
+    _kernel_lattice,
     _saturation,
     _smith,
     elementary_divisors,
@@ -315,6 +317,18 @@ class TestPrimality:
         assert not cert.saturation_equal
         assert cert.witness == Binomial.make(mono(x(0, 1)), mono(x(0, 0)))
 
+    def test_json_projection(self):
+        # prime --json and the survey rows print this dict as it is
+        f = Binomial.make(mono(x(1, 0), x(0, 1)), mono(x(1, 0), x(0, 0)))
+        cert = is_prime([f])
+        assert list(cert.as_json().items()) == [
+            ("verdict", "not_prime"),
+            ("lattice_saturated", True),
+            ("saturation_equal", False),
+            ("witness", repr(cert.witness)),
+        ]
+        assert is_prime([]).as_json()["witness"] is None
+
     def test_frame_prime(self, frame):
         cert = is_prime(generators(frame))
         assert cert.is_prime
@@ -479,20 +493,32 @@ class TestMonomialMap:
             toric_ideal_of_map(mapping)
 
 
+@functools.cache
+def reference_maps() -> tuple[tuple[CellCollection, MonomialMap], ...]:
+    """(shape, map) for labelings that meet every minor constraint of the shape.
+
+    The grid labeling of every polyomino up to 5 cells and of the frame,
+    and every labeling the search accepts or rejects as complete on those
+    polyominoes and on three pairwise disjoint cells.
+    """
+    shapes = [s for n in range(1, 6) for s in enumerate_polyominoes(n)]
+    pairs = [(s, bipartite_grid_labeling(s).monomial_map()) for s in shapes]
+    for shape in shapes + [CellCollection([(0, 0), (0, 2), (2, 0)])]:
+        pairs.extend(
+            (shape, GraphLabeling(e.assignment).monomial_map())
+            for e in search_labeling(shape).trace
+            if e.kind in ("accept", "reject_labeling")
+        )
+    frame = frame_shape()
+    pairs.append((frame, bipartite_grid_labeling(frame).monomial_map()))
+    return tuple(pairs)
+
+
 class TestEliminationReference:
     """The lattice route against eliminating the targets from source = image."""
 
     def test_equal_to_elimination(self):
-        shapes = [s for n in range(1, 6) for s in enumerate_polyominoes(n)]
-        maps = [bipartite_grid_labeling(s).monomial_map() for s in shapes]
-        # every labeling the search accepts or rejects as complete
-        for shape in shapes + [CellCollection([(0, 0), (0, 2), (2, 0)])]:
-            maps.extend(
-                GraphLabeling(e.assignment).monomial_map()
-                for e in search_labeling(shape).trace
-                if e.kind in ("accept", "reject_labeling")
-            )
-        maps.append(bipartite_grid_labeling(frame_shape()).monomial_map())
+        maps = [mapping for _, mapping in reference_maps()]
         assert len(maps) == 225
         for mapping in maps:
             assert toric_ideal_of_map(mapping) == elimination_toric_ideal_of_map(
@@ -510,3 +536,30 @@ class TestEliminationReference:
         assert len(strict) == 1
         mapping = GraphLabeling(strict[0].assignment).monomial_map()
         assert toric_ideal_of_map(mapping) == elimination_toric_ideal_of_map(mapping)
+
+
+class TestSeededKernel:
+    """Saturating the minors with the lattice basis, as the graph search does."""
+
+    def test_equal_to_unseeded_kernel(self):
+        # the minors lie in each kernel, so seeding with them changes nothing
+        for shape, mapping in reference_maps():
+            seeded = saturate([*generators(shape), *_kernel_lattice(mapping)])
+            assert seeded == toric_ideal_of_map(mapping), mapping
+
+    def test_needs_the_ideal_inside_the_kernel(self, unit_cell):
+        # the diagonal's endpoints {0, 1, 2, 3} differ from the
+        # anti-diagonal's {0, 1, 2, 4}, so the minor is outside the kernel
+        mapping = GraphLabeling(
+            (
+                (x(0, 0), (0, 1)),
+                (x(1, 1), (2, 3)),
+                (x(0, 1), (0, 2)),
+                (x(1, 0), (1, 4)),
+            )
+        ).monomial_map()
+        gens = generators(unit_cell)
+        assert gens == (inner_minor(Interval(Point(0, 0), Point(1, 1))),)
+        assert _kernel_lattice(mapping) == []
+        assert toric_ideal_of_map(mapping) == ()
+        assert saturate([*gens, *_kernel_lattice(mapping)]) == gens
