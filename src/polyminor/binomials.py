@@ -93,6 +93,9 @@ class Monomial:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Monomial is immutable")
 
+    def __reduce__(self) -> tuple:
+        return (Monomial, (self.exps,))
+
     @classmethod
     def from_vars(cls, vars_: Iterable[Var]) -> "Monomial":
         return cls((v, 1) for v in vars_)
@@ -255,6 +258,9 @@ class Binomial:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Binomial is immutable")
+
+    def __reduce__(self) -> tuple:
+        return (Binomial, (self.plus, self.minus))
 
     @classmethod
     def make(cls, a: Monomial, b: Monomial) -> "Binomial | None":

@@ -169,6 +169,9 @@ class CellCollection:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self) -> tuple:
+        return (type(self), (self.cells,))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CellCollection):
             return NotImplemented

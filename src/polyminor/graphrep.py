@@ -35,8 +35,7 @@ Bases and Convex Polytopes", Lemma 12.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .binomials import LEX, Binomial, Monomial, Var, aux_var, generators, point_var
@@ -195,6 +194,11 @@ class RepVerdict:
     status: str  # "representable" | "not_representable"
     labeling: GraphLabeling | None
     trace: tuple[TraceEvent, ...]
+    # is_prime of the collection's generators, as the accept test used it;
+    # None when no complete labeling reached the lattice test
+    certificate: PrimalityCertificate | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def representable(self) -> bool:
@@ -259,11 +263,7 @@ class _Search:
     """
 
     def __init__(
-        self,
-        collection: CellCollection,
-        deadline: Deadline,
-        degree_cap: int,
-        certificate: PrimalityCertificate | None = None,
+        self, collection: CellCollection, deadline: Deadline, degree_cap: int
     ) -> None:
         self.variables = tuple(sorted(point_var(p) for p in collection.vertex_set))
         self.constraints = relation_constraints(collection)
@@ -280,7 +280,7 @@ class _Search:
         )
         self.deadline = deadline
         self.degree_cap = degree_cap
-        self.certificate = certificate
+        self.certificate: PrimalityCertificate | None = None
         self.assignment: dict[Var, GEdge] = {}
         self.used: dict[GEdge, Var] = {}
         self.trail: list[Var] = []
@@ -439,20 +439,6 @@ class _Search:
                     return f
         return None
 
-    @cached_property
-    def prime_rank(self) -> int | None:
-        """Rank of the ideal's exponent lattice when the ideal is prime, else None.
-
-        A certificate given to the search is not computed again; it
-        carries the rank.
-        """
-        certificate = self.certificate
-        if certificate is None:
-            certificate = is_prime(
-                self.gens, degree_cap=self.degree_cap, deadline=self.deadline
-            )
-        return certificate.rank if certificate.is_prime else None
-
     def verify_full(self, depth: int) -> GraphLabeling | None:
         """The labeling when its kernel equals the ideal, else None.
 
@@ -460,10 +446,11 @@ class _Search:
         Smith step gives a basis of the relation lattice M, and rank M is
         the number of its kernel columns.  The ideal lies in the prime
         kernel, so the two are equal exactly when the ideal is prime with
-        a lattice of rank M.  When they are not, the kernel is the
-        saturation of the minors together with that basis (see the module
-        docstring), and the first element of its reduced LEX basis outside
-        the ideal becomes the rejection witness.
+        a lattice of rank M; its is_prime certificate, computed the first
+        time a labeling gets here, holds both facts.  When they are not,
+        the kernel is the saturation of the minors together with that
+        basis (see the module docstring), and the first element of its
+        reduced LEX basis outside the ideal becomes the rejection witness.
         """
         witness = self._quadratic_witness()
         if witness is not None:
@@ -477,7 +464,11 @@ class _Search:
             return None
         labeling = GraphLabeling(tuple(self.assignment.items()))
         lattice = _kernel_lattice(labeling.monomial_map(), self.deadline)
-        if self.prime_rank == len(lattice):
+        if self.certificate is None:
+            self.certificate = is_prime(
+                self.gens, degree_cap=self.degree_cap, deadline=self.deadline
+            )
+        if self.certificate.is_prime and self.certificate.rank == len(lattice):
             self.log("accept", "kernel equals the ideal", depth,
                      assignment=self.snapshot())
             return labeling
@@ -544,7 +535,6 @@ def search_labeling(
     *,
     deadline: Deadline | None = None,
     degree_cap: int = DEFAULT_DEGREE_CAP,
-    _certificate: PrimalityCertificate | None = None,
 ) -> RepVerdict:
     """Exhaustive search for a representing edge labeling.
 
@@ -565,15 +555,11 @@ def search_labeling(
     a proof of non-representability.  Each complete labeling is verified
     from one lattice step: it is accepted by the rank of its relation
     lattice, and a rejection's witness comes from the kernel seeded with
-    the minors and that lattice's basis (see the module docstring).
-
-    _certificate is private to the package: survey_row passes the
-    is_prime certificate of the collection's generators it has already
-    computed, so the accept test does not compute it again.
+    the minors and that lattice's basis (see the module docstring).  The
+    verdict carries the is_prime certificate the accept test used, or
+    None when no complete labeling reached that test.
     """
-    state = _Search(
-        collection, deadline or Deadline.unlimited(), degree_cap, _certificate
-    )
+    state = _Search(collection, deadline or Deadline.unlimited(), degree_cap)
     seed = max(
         state.constraints,
         key=lambda c: (sum(len(state.by_var[s]) for s in c.slots), -c.index),
@@ -587,7 +573,7 @@ def search_labeling(
         assignment=state.snapshot(),
     )
     labeling = state.dfs(0)
-    if labeling is not None:
-        return RepVerdict("representable", labeling, tuple(state.trace))
-    state.log("exhausted", "the seed case is refuted", 0)
-    return RepVerdict("not_representable", None, tuple(state.trace))
+    if labeling is None:
+        state.log("exhausted", "the seed case is refuted", 0)
+    status = "not_representable" if labeling is None else "representable"
+    return RepVerdict(status, labeling, tuple(state.trace), state.certificate)

@@ -66,39 +66,37 @@ def survey_row(
 ) -> SurveyRow:
     """Classify one collection; the budget covers the whole row.
 
-    The row's primality certificate is handed to the graph search, so
-    the row computes it once.
+    The graph search runs first, and its verdict carries the primality
+    certificate whenever a complete labeling reached its accept test;
+    otherwise the row computes it here, so each row computes it once.
+    When the budget cannot cover both, the search has the first claim on
+    it: a search that stops on the budget or the degree cap still leaves
+    is_prime to try with whatever the deadline has left.
     """
     deadline = Deadline.after_seconds(budget_seconds)
-    certificate: PrimalityCertificate | None = None
-    prime: bool | None = None
-    prime_note: str | None = None
-    try:
-        certificate = is_prime(
-            generators(collection), degree_cap=degree_cap, deadline=deadline
-        )
-        prime = certificate.is_prime
-    except (BudgetExceeded, DegreeCapExceeded) as exc:
-        prime_note = str(exc)
     verdict: RepVerdict | None = None
     graph_status = "timeout"
     try:
-        verdict = search_labeling(
-            collection,
-            deadline=deadline,
-            degree_cap=degree_cap,
-            _certificate=certificate,
-        )
+        verdict = search_labeling(collection, deadline=deadline, degree_cap=degree_cap)
         graph_status = verdict.status
     except (BudgetExceeded, DegreeCapExceeded):
         pass
+    certificate = verdict.certificate if verdict else None
+    prime_note: str | None = None
+    if certificate is None:
+        try:
+            certificate = is_prime(
+                generators(collection), degree_cap=degree_cap, deadline=deadline
+            )
+        except (BudgetExceeded, DegreeCapExceeded) as exc:
+            prime_note = str(exc)
     return SurveyRow(
         ident=row_id(collection),
         cell_count=len(collection),
         simple=is_simple(collection),
         convex=is_convex(collection),
         quadratic_gb=quadratic_gb_condition(collection),
-        prime=prime,
+        prime=certificate.is_prime if certificate else None,
         prime_note=prime_note,
         graph_rep=graph_status,
         certificate=certificate,

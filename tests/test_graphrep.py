@@ -13,7 +13,6 @@ from polyminor.graphrep import (
     verify_representation,
 )
 from polyminor.groebner import DEFAULT_DEGREE_CAP, Deadline, buchberger, ideal_membership
-from polyminor import toric
 from polyminor.survey import row_id
 from polyminor.toric import _kernel_lattice, exponent_lattice, is_prime, toric_ideal_of_map
 
@@ -26,8 +25,10 @@ def x(i, j):
 
 def accepts(shape, lab):
     """The search's accept test on a labeling that meets every constraint."""
-    search = _Search(shape, Deadline.unlimited(), DEFAULT_DEGREE_CAP)
-    return search.prime_rank == len(_kernel_lattice(lab.monomial_map()))
+    certificate = is_prime(generators(shape))
+    return certificate.is_prime and certificate.rank == len(
+        _kernel_lattice(lab.monomial_map())
+    )
 
 
 class TestConstraints:
@@ -92,18 +93,15 @@ class TestGridLabeling:
         assert not verify_representation(frame, lab)
         assert not accepts(frame, lab)
 
-    def test_prime_rank_read_from_certificate(self, frame, monkeypatch):
-        gens = generators(frame)
-        certificate = is_prime(gens)
-        search = _Search(frame, Deadline.unlimited(), DEFAULT_DEGREE_CAP, certificate)
-
-        def no_second_smith(*args):
-            raise AssertionError("the certificate already holds the rank")
-
-        monkeypatch.setattr(toric, "_smith", no_second_smith)
-        assert search.prime_rank == 8
-        monkeypatch.undo()
-        assert exponent_lattice(gens).rank == 8
+    def test_verdict_carries_accept_certificate(self, frame, u_pentomino, block_2x2):
+        # quadrics refute every frame labeling before the lattice test
+        assert search_labeling(frame).certificate is None
+        for shape in (u_pentomino, block_2x2):
+            gens = generators(shape)
+            verdict = search_labeling(shape)
+            assert verdict.representable
+            assert verdict.certificate == is_prime(gens)
+            assert verdict.certificate.rank == exponent_lattice(gens).rank
 
     def test_frame_extra_kernel_element_crosses_hole(self, frame):
         lab = bipartite_grid_labeling(frame)

@@ -1,9 +1,14 @@
 import hashlib
 import importlib
 import json
+import pickle
+from collections import Counter
 
 import pytest
 
+from polyminor.binomials import Binomial, Monomial, generators, point_var
+from polyminor.geometry import CellCollection, Point
+from polyminor.groebner import BudgetExceeded
 from polyminor.survey import (
     row_id,
     row_json,
@@ -12,6 +17,7 @@ from polyminor.survey import (
     survey,
     survey_row,
 )
+from polyminor.toric import TorsionWitness, is_prime
 
 
 @pytest.fixture(scope="module")
@@ -56,23 +62,63 @@ class TestSurveyRow:
         assert row.prime is True
         assert row.graph_rep == "representable"
 
-    def test_certifies_primality_once(self, block_2x2, monkeypatch):
+    def test_certifies_primality_once(self, block_2x2, frame, monkeypatch):
         # the package exports a function named survey, hiding the module
         survey_module = importlib.import_module("polyminor.survey")
         graphrep = importlib.import_module("polyminor.graphrep")
-        calls = []
-        original = survey_module.is_prime
+        calls = Counter()
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counting(key, original):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
 
-        monkeypatch.setattr(survey_module, "is_prime", counting)
-        monkeypatch.setattr(graphrep, "is_prime", counting)
-        row = survey_row(block_2x2, budget_seconds=None)
+            return counted
+
+        for module, prefix in ((survey_module, "survey"), (graphrep, "graphrep")):
+            for name in ("is_prime", "generators"):
+                counted = counting(f"{prefix}.{name}", getattr(module, name))
+                monkeypatch.setattr(module, name, counted)
+        cases = [
+            # the search's accept test computes the certificate, and the
+            # row reads it off the verdict
+            (
+                block_2x2,
+                "representable",
+                {"graphrep.generators": 1, "graphrep.is_prime": 1},
+            ),
+            # quadrics refute every frame labeling, so the row computes it
+            # after the search
+            (
+                frame,
+                "not_representable",
+                {
+                    "graphrep.generators": 1,
+                    "survey.generators": 1,
+                    "survey.is_prime": 1,
+                },
+            ),
+        ]
+        for shape, graph_rep, expected in cases:
+            calls.clear()
+            row = survey_row(shape, budget_seconds=None)
+            assert row.prime is True
+            assert row.graph_rep == graph_rep
+            assert calls == expected
+
+    def test_search_timeout_leaves_budget_to_is_prime(self, frame, monkeypatch):
+        survey_module = importlib.import_module("polyminor.survey")
+
+        def starved(*args, **kwargs):
+            raise BudgetExceeded("graph labeling search exceeded its time budget")
+
+        monkeypatch.setattr(survey_module, "search_labeling", starved)
+        row = survey_row(frame, budget_seconds=None)
         assert row.prime is True
-        assert row.graph_rep == "representable"
-        assert len(calls) == 1
+        assert row.certificate is not None and row.certificate.is_prime
+        assert row.prime_note is None
+        assert row.graph_rep == "timeout"
+        assert row.labeling is None
 
     def test_starved_budget_times_out(self, frame):
         row = survey_row(frame, budget_seconds=0.0)
@@ -157,3 +203,31 @@ class TestTable:
         row = survey_row(frame, budget_seconds=0.0)
         table = rows_table([row])
         assert "?" in table.splitlines()[1]
+
+
+class TestPickle:
+    def test_round_trip(self, frame, u_pentomino):
+        x, y, z = (point_var(Point(0, k)) for k in range(3))
+
+        def binomial(plus, minus):
+            return Binomial.make(Monomial.from_vars(plus), Monomial.from_vars(minus))
+
+        unsaturated = is_prime([binomial((x, y), (x, z))])
+        torsion = is_prime([binomial((x, x), (y, y))])
+        assert isinstance(unsaturated.witness, Binomial)
+        assert isinstance(torsion.witness, TorsionWitness)
+        row = survey_row(u_pentomino, budget_seconds=None)
+        assert row.certificate is not None and row.labeling is not None
+        values = [
+            frame,
+            CellCollection([(0, 0), (2, 2)]),
+            *generators(frame),
+            unsaturated,
+            torsion,
+            row,
+        ]
+        for value in values:
+            back = pickle.loads(pickle.dumps(value))
+            assert type(back) is type(value)
+            assert back == value
+        assert pickle.loads(pickle.dumps(row)).certificate.rank == row.certificate.rank
