@@ -36,6 +36,7 @@ Bases and Convex Polytopes", Lemma 12.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 from typing import Iterable
 
 from .binomials import LEX, Binomial, Monomial, Var, aux_var, generators, point_var
@@ -281,6 +282,9 @@ class _Search:
         self.deadline = deadline
         self.degree_cap = degree_cap
         self.certificate: PrimalityCertificate | None = None
+        # per pair of variable pairs: their quadric if it lies outside the
+        # ideal, else None; the ideal is fixed, so this holds for the search
+        self.outside: dict[tuple[tuple[Var, Var], tuple[Var, Var]], Binomial | None] = {}
         self.assignment: dict[Var, GEdge] = {}
         self.used: dict[GEdge, Var] = {}
         self.trail: list[Var] = []
@@ -308,31 +312,46 @@ class _Search:
 
     # ---- propagation -------------------------------------------------
 
-    def propagate(self, depth: int) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for con in self.constraints:
-                step = _complete(con, self.assignment, self.used)
-                if step is None:
-                    continue
-                hole_var, edge, reason = step
-                if reason is not None:
-                    self.log(
-                        "conflict",
-                        f"minor {con.index} {reason}",
-                        depth,
-                        var=hole_var,
-                        edge=edge,
-                        assignment=self.snapshot(),
-                    )
-                    return False
-                if hole_var is None:
-                    continue
-                self.assign(hole_var, edge)
-                self.log("force", f"forced by minor {con.index}", depth,
-                         var=hole_var, edge=edge)
-                changed = True
+    def propagate(self, depth: int, mark: int) -> bool:
+        """Force the constraints left with one open slot; False on a conflict.
+
+        At a fixpoint every constraint has two open slots or more, or is
+        complete and satisfied, and only an assignment to one of its slots
+        can change that.  So only the dirty constraints, those touching a
+        variable on the trail since mark, are visited, and a force makes
+        its variable's constraints dirty.  They are visited in cyclic
+        index order: the smallest dirty index at or after the last one
+        visited, else the smallest.  The constraints a full sweep would
+        visit besides these do nothing, so the forces, conflicts and
+        snapshots come in the order of repeated sweeps over every
+        constraint.
+        """
+        dirty = {con.index for v in self.trail[mark:] for con in self.by_var[v]}
+        at = 0
+        while dirty:
+            at = min((k for k in dirty if k >= at), default=min(dirty))
+            dirty.remove(at)
+            con = self.constraints[at]
+            step = _complete(con, self.assignment, self.used)
+            if step is None:
+                continue
+            hole_var, edge, reason = step
+            if reason is not None:
+                self.log(
+                    "conflict",
+                    f"minor {con.index} {reason}",
+                    depth,
+                    var=hole_var,
+                    edge=edge,
+                    assignment=self.snapshot(),
+                )
+                return False
+            if hole_var is None:
+                continue
+            self.assign(hole_var, edge)
+            self.log("force", f"forced by minor {con.index}", depth,
+                     var=hole_var, edge=edge)
+            dirty.update(c.index for c in self.by_var[hole_var])
         return True
 
     # ---- candidate generation ----------------------------------------
@@ -381,7 +400,7 @@ class _Search:
             if len(need) == 1:
                 d = need[0]
                 hi = min(self.fresh[-1] + 1, self.vertex_cap)
-                return sorted({_mkedge(d, z) for z in range(hi) if z != d})
+                return [_mkedge(d, z) for z in range(hi) if z != d]
         return None
 
     def branch_candidates(self) -> tuple[Var, list[GEdge]] | None:
@@ -426,17 +445,28 @@ class _Search:
     # ---- full labeling verification ----------------------------------
 
     def _quadratic_witness(self) -> Binomial | None:
-        groups: dict[tuple[int, ...], list[tuple[Var, Var]]] = {}
-        for a_idx, a in enumerate(self.variables):
-            for b in self.variables[a_idx:]:
-                key = _multiset(self.assignment[a], self.assignment[b])
-                groups.setdefault(key, []).append((a, b))
-        for key in sorted(groups):
-            first, *rest = groups[key]
+        # an edge's key counts its endpoints, one byte per vertex; a pair
+        # has four endpoints, so no byte carries and equal keys are equal
+        # endpoint multisets
+        edges = map(self.assignment.__getitem__, self.variables)
+        keys = [(1 << 8 * u) + (1 << 8 * w) for u, w in edges]
+        groups: dict[int, list[tuple[Var, Var]]] = {}
+        for (a, ka), (b, kb) in combinations_with_replacement(
+            zip(self.variables, keys), 2
+        ):
+            groups.setdefault(ka + kb, []).append((a, b))
+        # a pair alone in its group gives no quadric
+        shared = [g for g in groups.values() if len(g) > 1]
+        shared.sort(key=lambda g: _multiset(*map(self.assignment.__getitem__, g[0])))
+        for first, *rest in shared:
             for pair in rest:
-                f = Binomial.make(Monomial.from_vars(first), Monomial.from_vars(pair))
-                if f is not None and not ideal_membership(f, self.ideal_basis):
-                    return f
+                quadric = first, pair
+                if quadric not in self.outside:
+                    f = Binomial.make(Monomial.from_vars(first), Monomial.from_vars(pair))
+                    member = f is None or ideal_membership(f, self.ideal_basis)
+                    self.outside[quadric] = None if member else f
+                if self.outside[quadric] is not None:
+                    return self.outside[quadric]
         return None
 
     def verify_full(self, depth: int) -> GraphLabeling | None:
@@ -491,16 +521,19 @@ class _Search:
 
     # ---- depth-first search ------------------------------------------
 
-    def dfs(self, depth: int) -> GraphLabeling | None:
+    def dfs(self, depth: int, mark: int = 0) -> GraphLabeling | None:
         """Extend the current assignment to an accepted labeling, or None.
 
-        Returns with its own assignments still in place; a caller leaves
-        the branch by undoing to the mark it took before assigning.  Each
+        Apart from the variables on the trail since mark, the assignment
+        is a propagation fixpoint; at the root mark is 0, so propagation
+        starts from the whole trail.  Returns with its own assignments
+        still in place; a caller leaves the branch by undoing to the mark
+        it took before assigning, and passes that mark down.  Each
         level assigns at least one variable, so the depth is at most the
         number of variables.
         """
         self.deadline.check("graph labeling search")
-        if not self.propagate(depth):
+        if not self.propagate(depth, mark):
             return None
         picked = self.branch_candidates()
         if picked is None:
@@ -519,7 +552,7 @@ class _Search:
         for e in candidates:
             self.assign(v, e)
             self.log("assign", "branch", depth + 1, var=v, edge=e)
-            found = self.dfs(depth + 1)
+            found = self.dfs(depth + 1, mark)
             if found is not None:
                 return found
             self.undo(mark)

@@ -8,6 +8,7 @@ desk-scale inputs.
 from __future__ import annotations
 
 import functools
+import hashlib
 import heapq
 import itertools
 from collections import deque
@@ -32,6 +33,7 @@ from polyminor.geometry import (
     is_convex,
     is_polyomino,
 )
+from polyminor.graphrep import RepVerdict, _complete, _multiset, _Search
 from polyminor.groebner import (
     DEFAULT_DEGREE_CAP,
     Deadline,
@@ -527,3 +529,60 @@ def sparse_buchberger(
 
     reduced = _sparse_autoreduce(basis, order, deadline)
     return GroebnerBasis(order.tag, tuple(reduced), order)
+
+
+def trace_digest(verdict: RepVerdict) -> str:
+    """sha256 of a graph verdict's status, labeling and whole trace."""
+    text = repr((verdict.status, verdict.labeling, verdict.trace))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class SweepSearch(_Search):
+    """The graph search as it propagated and grouped quadrics before.
+
+    propagate sweeps every constraint until a full pass changes nothing,
+    whatever the mark, and _quadratic_witness sorts the endpoint multisets
+    of all variable pairs at every leaf and tests each quadric's
+    membership afresh.
+    """
+
+    def propagate(self, depth: int, mark: int) -> bool:
+        changed = True
+        while changed:
+            changed = False
+            for con in self.constraints:
+                step = _complete(con, self.assignment, self.used)
+                if step is None:
+                    continue
+                hole_var, edge, reason = step
+                if reason is not None:
+                    self.log(
+                        "conflict",
+                        f"minor {con.index} {reason}",
+                        depth,
+                        var=hole_var,
+                        edge=edge,
+                        assignment=self.snapshot(),
+                    )
+                    return False
+                if hole_var is None:
+                    continue
+                self.assign(hole_var, edge)
+                self.log("force", f"forced by minor {con.index}", depth,
+                         var=hole_var, edge=edge)
+                changed = True
+        return True
+
+    def _quadratic_witness(self) -> Binomial | None:
+        groups: dict[tuple[int, ...], list[tuple]] = {}
+        for a_idx, a in enumerate(self.variables):
+            for b in self.variables[a_idx:]:
+                key = _multiset(self.assignment[a], self.assignment[b])
+                groups.setdefault(key, []).append((a, b))
+        for key in sorted(groups):
+            first, *rest = groups[key]
+            for pair in rest:
+                f = Binomial.make(Monomial.from_vars(first), Monomial.from_vars(pair))
+                if f is not None and not ideal_membership(f, self.ideal_basis):
+                    return f
+        return None

@@ -2,8 +2,9 @@ from collections import Counter
 
 import pytest
 
+from polyminor import graphrep
 from polyminor.binomials import Binomial, generators, inner_minor, point_var
-from polyminor.geometry import CellCollection, Interval, Point, complement
+from polyminor.geometry import CellCollection, Interval, Point, Polyomino, complement
 from polyminor.graphrep import (
     GraphLabeling,
     _Search,
@@ -16,7 +17,12 @@ from polyminor.groebner import DEFAULT_DEGREE_CAP, Deadline, buchberger, ideal_m
 from polyminor.survey import row_id
 from polyminor.toric import _kernel_lattice, exponent_lattice, is_prime, toric_ideal_of_map
 
-from oracles import localization_family
+from oracles import (
+    REFERENCE_SHAPES,
+    SweepSearch,
+    localization_family,
+    trace_digest,
+)
 
 
 def x(i, j):
@@ -303,3 +309,37 @@ class TestSeedSymmetry:
                 assert len(state.trail) == len(state.assignment)
                 assert set(state.trail) == set(state.assignment)
                 assert state.fresh[-1] == 1 + max(e[1] for e in state.assignment.values())
+
+
+def ring(n):
+    """The n x n box of cells minus its (n - 2) x (n - 2) centre."""
+    return Polyomino(
+        [(i, j) for i in range(n) for j in range(n)
+         if not (0 < i < n - 1 and 0 < j < n - 1)]
+    )
+
+
+class TestBookkeeping:
+    def test_sweep_oracle_traces_equal(self, monkeypatch):
+        # dirty-set propagation and byte-count quadric groups give the
+        # full sweep's and the sorted groups' statuses, labelings and
+        # traces; whole traces, since a reordering can keep event counts
+        shapes = [*REFERENCE_SHAPES, ring(4)]
+        verdicts = [search_labeling(shape) for shape in shapes]
+        monkeypatch.setattr(graphrep, "_Search", SweepSearch)
+        for shape, v in zip(shapes, verdicts):
+            o = search_labeling(shape)
+            assert (v.status, v.labeling, v.trace) == (o.status, o.labeling, o.trace), shape
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (4, "3412300f18ea8fb4f86af4b2b33d71d127dd036cf715e0acfc0b1a68a300e55c"),
+            (5, "fc2e18d798c26ff1714921ab0c6538f69c3df9d86351744484f661cba1c128c0"),
+        ],
+    )
+    def test_ring_trace_pinned(self, n, digest):
+        # the hollow squares' refutations, event for event
+        verdict = search_labeling(ring(n))
+        assert not verdict.representable
+        assert trace_digest(verdict) == digest
