@@ -49,12 +49,9 @@ from .groebner import (
     s_pair,
 )
 from .toric import (
-    IntegerMatrix,
     MonomialMap,
     PrimalityCertificate,
     TorsionWitness,
-    elementary_divisors,
-    exponent_lattice,
     is_prime,
     is_saturated_lattice,
     revlex_basis,

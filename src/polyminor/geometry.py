@@ -122,11 +122,6 @@ class Interval:
         return (Point(a.i, b.j), Point(b.i, a.j))
 
     @property
-    def corners(self) -> tuple[Point, Point, Point, Point]:
-        c, d = self.anti_diagonal_corners
-        return (self.lower_left, self.upper_right, c, d)
-
-    @property
     def width(self) -> int:
         return self.upper_right.i - self.lower_left.i
 

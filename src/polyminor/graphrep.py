@@ -50,7 +50,8 @@ from .groebner import (
 from .toric import (
     MonomialMap,
     PrimalityCertificate,
-    _kernel_lattice,
+    _relations,
+    _vector_binomial,
     is_prime,
     saturate,
     toric_ideal_of_map,
@@ -473,14 +474,16 @@ class _Search:
         """The labeling when its kernel equals the ideal, else None.
 
         A kernel quadric outside the ideal rejects first.  Otherwise one
-        Smith step gives a basis of the relation lattice M, and rank M is
-        the number of its kernel columns.  The ideal lies in the prime
-        kernel, so the two are equal exactly when the ideal is prime with
-        a lattice of rank M; its is_prime certificate, computed the first
-        time a labeling gets here, holds both facts.  When they are not,
-        the kernel is the saturation of the minors together with that
-        basis (see the module docstring), and the first element of its
-        reduced LEX basis outside the ideal becomes the rejection witness.
+        Smith step on the edges' endpoint vectors, with the vertices as
+        rows in ascending order, gives a basis of the relation lattice M,
+        and rank M is the number of its vectors.  The ideal lies in the
+        prime kernel, so the two are equal exactly when the ideal is prime
+        with a lattice of rank M; its is_prime certificate, computed the
+        first time a labeling gets here, holds both facts.  When they are
+        not, the kernel is the saturation of the minors together with the
+        basis as binomials (see the module docstring), and the first
+        element of its reduced LEX basis outside the ideal becomes the
+        rejection witness.
         """
         witness = self._quadratic_witness()
         if witness is not None:
@@ -492,8 +495,8 @@ class _Search:
                 witness=witness,
             )
             return None
-        labeling = GraphLabeling(tuple(self.assignment.items()))
-        lattice = _kernel_lattice(labeling.monomial_map(), self.deadline)
+        endpoints = [dict.fromkeys(self.assignment[v], 1) for v in self.variables]
+        lattice = _relations(endpoints, self.deadline)
         if self.certificate is None:
             self.certificate = is_prime(
                 self.gens, degree_cap=self.degree_cap, deadline=self.deadline
@@ -501,9 +504,10 @@ class _Search:
         if self.certificate.is_prime and self.certificate.rank == len(lattice):
             self.log("accept", "kernel equals the ideal", depth,
                      assignment=self.snapshot())
-            return labeling
+            return GraphLabeling(tuple(self.assignment.items()))
+        basis = [_vector_binomial(col, self.variables) for col in lattice]
         kernel = saturate(
-            [*self.gens, *lattice], degree_cap=self.degree_cap, deadline=self.deadline
+            [*self.gens, *basis], degree_cap=self.degree_cap, deadline=self.deadline
         )
         for f in kernel:
             if not ideal_membership(f, self.ideal_basis):

@@ -88,9 +88,6 @@ class GroebnerBasis:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def contains(self, f: Binomial) -> bool:
-        return ideal_membership(f, self)
-
 
 EXPONENT_LIMIT = 255
 _SUPPORT = bytes([0]) + bytes([1]) * 255  # byte e to 1 when e > 0

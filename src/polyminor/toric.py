@@ -46,12 +46,9 @@ from .groebner import (
 )
 
 __all__ = [
-    "IntegerMatrix",
     "TorsionWitness",
     "PrimalityCertificate",
     "MonomialMap",
-    "exponent_lattice",
-    "elementary_divisors",
     "is_saturated_lattice",
     "revlex_basis",
     "saturate",
@@ -59,44 +56,9 @@ __all__ = [
     "toric_ideal_of_map",
 ]
 
-@dataclass(frozen=True)
-class IntegerMatrix:
-    """Rows span the exponent lattice; columns are labeled by variables."""
-
-    columns: tuple[Var, ...]
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in elementary_divisors(self) if d != 0)
-
-
-def exponent_lattice(gens: Iterable[Binomial]) -> IntegerMatrix:
-    """Matrix whose rows are the exponent vectors plus - minus of the generators.
-
-    Columns are the variables occurring anywhere in the generators, in
-    ascending variable order; duplicate and zero rows are dropped.
-    """
-    gens = list(gens)
-    columns = sorted({v for g in gens for v in g.vars()})
-    index = {v: k for k, v in enumerate(columns)}
-    rows = []
-    seen = set()
-    for g in gens:
-        row = [0] * len(columns)
-        for v, e in g.plus.exps:
-            row[index[v]] += e
-        for v, e in g.minus.exps:
-            row[index[v]] -= e
-        tup = tuple(row)
-        if any(tup) and tup not in seen:
-            seen.add(tup)
-            rows.append(tup)
-    return IntegerMatrix(tuple(columns), tuple(rows))
-
 
 def _smith(
-    rows: list[list[int]], n: int, deadline: Deadline | None = None
+    rows: Sequence[Sequence[int]], n: int, deadline: Deadline | None = None
 ) -> tuple[list[int], list[list[int]], list[list[int]]]:
     """Diagonalize by unimodular row/column operations: U A T = D.
 
@@ -187,14 +149,6 @@ def _smith(
     return divisors, t_inv, t_cols
 
 
-def elementary_divisors(matrix: IntegerMatrix) -> tuple[int, ...]:
-    """Nonzero elementary divisors of the matrix, each dividing the next."""
-    if not matrix.rows:
-        return ()
-    divisors, _, _ = _smith([list(r) for r in matrix.rows], len(matrix.columns))
-    return tuple(divisors)
-
-
 class TorsionWitness(NamedTuple):
     """A vector outside the lattice whose divisor multiple lies inside."""
 
@@ -202,7 +156,7 @@ class TorsionWitness(NamedTuple):
     binomial: Binomial
 
 
-def _vector_binomial(vector: Iterable[int], columns: tuple[Var, ...]) -> Binomial:
+def _vector_binomial(vector: Iterable[int], columns: Sequence[Var]) -> Binomial:
     pos = Monomial((v, e) for v, e in zip(columns, vector) if e > 0)
     neg = Monomial((v, -e) for v, e in zip(columns, vector) if e < 0)
     f = Binomial.make(pos, neg)
@@ -210,30 +164,41 @@ def _vector_binomial(vector: Iterable[int], columns: tuple[Var, ...]) -> Binomia
     return f
 
 
-def _rank_and_torsion(
-    matrix: IntegerMatrix, deadline: Deadline | None = None
+def _exponent_lattice(
+    gens: Sequence[Binomial], deadline: Deadline | None = None
 ) -> tuple[int, TorsionWitness | None]:
-    """Rank of the row lattice, and a torsion witness unless it is saturated."""
-    if not matrix.rows:
-        return 0, None
-    divisors, t_inv, _ = _smith(
-        [list(r) for r in matrix.rows], len(matrix.columns), deadline
-    )
+    """Rank of the generators' exponent lattice, and a torsion witness unless saturated.
+
+    The rows are the vectors plus - minus of the generators, zero rows
+    and repeats dropped, over the variables occurring anywhere in them in
+    ascending order.  The witness is for the first divisor other than one.
+    """
+    columns = sorted({v for g in gens for v in g.vars()})
+    index = {v: k for k, v in enumerate(columns)}
+    rows: dict[tuple[int, ...], None] = {}  # first occurrences, in order
+    for g in gens:
+        row = [0] * len(columns)
+        for v, e in g.plus.exps:
+            row[index[v]] += e
+        for v, e in g.minus.exps:
+            row[index[v]] -= e
+        if any(row):
+            rows.setdefault(tuple(row))
+    divisors, t_inv, _ = _smith(list(rows), len(columns), deadline)
     for idx, d in enumerate(divisors):
         if d != 1:
-            witness = TorsionWitness(d, _vector_binomial(t_inv[idx], matrix.columns))
-            return len(divisors), witness
+            return len(divisors), TorsionWitness(d, _vector_binomial(t_inv[idx], columns))
     return len(divisors), None
 
 
-def is_saturated_lattice(matrix: IntegerMatrix) -> tuple[bool, TorsionWitness | None]:
-    """Whether the row lattice is saturated in the ambient integer lattice.
+def is_saturated_lattice(gens: Iterable[Binomial]) -> tuple[bool, TorsionWitness | None]:
+    """Whether the generators' exponent lattice is saturated in the ambient lattice.
 
     Saturation means every elementary divisor equals one.  On failure the
     witness carries the smallest offending divisor d together with the
     lattice-external vector whose d-th multiple lies in the lattice.
     """
-    _, witness = _rank_and_torsion(matrix)
+    _, witness = _exponent_lattice(list(gens))
     return witness is None, witness
 
 
@@ -374,7 +339,7 @@ def is_prime(
     gens = list(gens)
     if not gens:
         return PrimalityCertificate("prime", True, True, None, 0)
-    rank, torsion = _rank_and_torsion(exponent_lattice(gens), deadline)
+    rank, torsion = _exponent_lattice(gens, deadline)
     lattice_ok = torsion is None
     saturated, saturation_equal = _saturation(
         gens, degree_cap=degree_cap, deadline=deadline
@@ -411,26 +376,19 @@ class MonomialMap:
         return tuple(v for v, _ in self.assignment)
 
 
-def _kernel_lattice(
-    mapping: MonomialMap, deadline: Deadline | None = None
-) -> list[Binomial]:
-    """Binomials of an integer basis of the map's relation lattice.
+def _relations(
+    images: Sequence[dict[Var, int]], deadline: Deadline | None = None
+) -> list[list[int]]:
+    """An integer basis of the relations among the images' exponent vectors.
 
-    The lattice is the integer kernel of the targets x sources exponent
-    matrix, read off _smith's column transform, so its rank is the
-    number of returned binomials.  Every image must have the same
-    positive degree, so each binomial is homogeneous, as saturate needs.
+    The relations are the integer kernel of the targets x images exponent
+    matrix, targets in ascending order, read off _smith's column
+    transform, so the lattice's rank is the number of returned vectors.
     """
-    images = [image for _, image in mapping.assignment]
-    degrees = {image.degree for image in images}
-    if len(degrees) > 1 or 0 in degrees:
-        raise ValueError(f"image degrees {sorted(degrees)} are not one positive degree")
-    sources = mapping.sources()
-    exponents = [dict(image.exps) for image in images]
-    targets = sorted({t for exps in exponents for t in exps})
-    rows = [[exps.get(t, 0) for exps in exponents] for t in targets]
-    divisors, _, t_cols = _smith(rows, len(sources), deadline)
-    return [_vector_binomial(col, sources) for col in t_cols[len(divisors):]]
+    targets = sorted({t for exps in images for t in exps})
+    rows = [[exps.get(t, 0) for exps in images] for t in targets]
+    divisors, _, t_cols = _smith(rows, len(images), deadline)
+    return t_cols[len(divisors):]
 
 
 def toric_ideal_of_map(
@@ -442,10 +400,17 @@ def toric_ideal_of_map(
     """Kernel of the monomial map, as a reduced LEX basis in the source variables.
 
     The kernel is the lattice ideal of the map's relation lattice
-    (_kernel_lattice), so it is the saturation of the ideal of that
-    lattice basis by the product of the source variables (Sturmfels,
-    "Groebner Bases and Convex Polytopes", Lemma 12.2).
+    (_relations), so it is the saturation of the ideal of that lattice
+    basis by the product of the source variables (Sturmfels, "Groebner
+    Bases and Convex Polytopes", Lemma 12.2).  Every image must have the
+    same positive degree, so each basis binomial is homogeneous, as
+    saturate needs.
     """
-    return saturate(
-        _kernel_lattice(mapping, deadline), degree_cap=degree_cap, deadline=deadline
-    )
+    images = [image for _, image in mapping.assignment]
+    degrees = {image.degree for image in images}
+    if len(degrees) > 1 or 0 in degrees:
+        raise ValueError(f"image degrees {sorted(degrees)} are not one positive degree")
+    sources = mapping.sources()
+    lattice = _relations([dict(image.exps) for image in images], deadline)
+    basis = [_vector_binomial(col, sources) for col in lattice]
+    return saturate(basis, degree_cap=degree_cap, deadline=deadline)

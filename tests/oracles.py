@@ -12,6 +12,7 @@ import hashlib
 import heapq
 import itertools
 from collections import deque
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from polyminor.binomials import (
@@ -21,6 +22,7 @@ from polyminor.binomials import (
     GradedRevlex,
     Monomial,
     MonomialOrder,
+    Var,
     aux_var,
 )
 from polyminor.geometry import (
@@ -46,7 +48,9 @@ from polyminor.localization import localization_hypotheses
 from polyminor.toric import (
     MonomialMap,
     PrimalityCertificate,
-    exponent_lattice,
+    TorsionWitness,
+    _smith,
+    _vector_binomial,
     is_saturated_lattice,
     revlex_basis,
 )
@@ -205,6 +209,92 @@ def sympy_rank(rows: list[list[int]]) -> int:
     return Matrix(rows).rank()
 
 
+# The lattice layer as it stood before toric._exponent_lattice and
+# toric._relations replaced it: a matrix type over the same _smith.
+
+
+@dataclass(frozen=True)
+class IntegerMatrix:
+    """Rows span the exponent lattice; columns are labeled by variables."""
+
+    columns: tuple[Var, ...]
+    rows: tuple[tuple[int, ...], ...]
+
+    @property
+    def rank(self) -> int:
+        return sum(1 for d in elementary_divisors(self) if d != 0)
+
+
+def exponent_lattice(gens: Iterable[Binomial]) -> IntegerMatrix:
+    """Matrix whose rows are the exponent vectors plus - minus of the generators.
+
+    Columns are the variables occurring anywhere in the generators, in
+    ascending variable order; duplicate and zero rows are dropped.
+    """
+    gens = list(gens)
+    columns = sorted({v for g in gens for v in g.vars()})
+    index = {v: k for k, v in enumerate(columns)}
+    rows = []
+    seen = set()
+    for g in gens:
+        row = [0] * len(columns)
+        for v, e in g.plus.exps:
+            row[index[v]] += e
+        for v, e in g.minus.exps:
+            row[index[v]] -= e
+        tup = tuple(row)
+        if any(tup) and tup not in seen:
+            seen.add(tup)
+            rows.append(tup)
+    return IntegerMatrix(tuple(columns), tuple(rows))
+
+
+def elementary_divisors(matrix: IntegerMatrix) -> tuple[int, ...]:
+    """Nonzero elementary divisors of the matrix, each dividing the next."""
+    if not matrix.rows:
+        return ()
+    divisors, _, _ = _smith([list(r) for r in matrix.rows], len(matrix.columns))
+    return tuple(divisors)
+
+
+def _rank_and_torsion(
+    matrix: IntegerMatrix, deadline: Deadline | None = None
+) -> tuple[int, TorsionWitness | None]:
+    """Rank of the row lattice, and a torsion witness unless it is saturated."""
+    if not matrix.rows:
+        return 0, None
+    divisors, t_inv, _ = _smith(
+        [list(r) for r in matrix.rows], len(matrix.columns), deadline
+    )
+    for idx, d in enumerate(divisors):
+        if d != 1:
+            witness = TorsionWitness(d, _vector_binomial(t_inv[idx], matrix.columns))
+            return len(divisors), witness
+    return len(divisors), None
+
+
+def _kernel_lattice(
+    mapping: MonomialMap, deadline: Deadline | None = None
+) -> list[Binomial]:
+    """Binomials of an integer basis of the map's relation lattice.
+
+    The lattice is the integer kernel of the targets x sources exponent
+    matrix, read off _smith's column transform, so its rank is the
+    number of returned binomials.  Every image must have the same
+    positive degree, so each binomial is homogeneous, as saturate needs.
+    """
+    images = [image for _, image in mapping.assignment]
+    degrees = {image.degree for image in images}
+    if len(degrees) > 1 or 0 in degrees:
+        raise ValueError(f"image degrees {sorted(degrees)} are not one positive degree")
+    sources = mapping.sources()
+    exponents = [dict(image.exps) for image in images]
+    targets = sorted({t for exps in exponents for t in exps})
+    rows = [[exps.get(t, 0) for exps in exponents] for t in targets]
+    divisors, _, t_cols = _smith(rows, len(sources), deadline)
+    return [_vector_binomial(col, sources) for col in t_cols[len(divisors):]]
+
+
 def interval_brute_cells(a: Point, b: Point) -> set[tuple[int, int]]:
     return {
         (i, j) for i in range(a.i, b.i) for j in range(a.j, b.j)
@@ -319,7 +409,7 @@ def marker_primality(gens) -> tuple[tuple[Binomial, ...], PrimalityCertificate]:
     saturated = marker_saturate(gens)
     if not gens:
         return saturated, PrimalityCertificate("prime", True, True, None)
-    lattice_ok, torsion = is_saturated_lattice(exponent_lattice(gens))
+    lattice_ok, torsion = is_saturated_lattice(gens)
     basis = buchberger(gens, LEX)
     gap = next((f for f in saturated if not ideal_membership(f, basis)), None)
     if lattice_ok and gap is None:

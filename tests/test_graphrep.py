@@ -15,11 +15,12 @@ from polyminor.graphrep import (
 )
 from polyminor.groebner import DEFAULT_DEGREE_CAP, Deadline, buchberger, ideal_membership
 from polyminor.survey import row_id
-from polyminor.toric import _kernel_lattice, exponent_lattice, is_prime, toric_ideal_of_map
+from polyminor.toric import _relations, is_prime, toric_ideal_of_map
 
 from oracles import (
     REFERENCE_SHAPES,
     SweepSearch,
+    exponent_lattice,
     localization_family,
     trace_digest,
 )
@@ -29,12 +30,15 @@ def x(i, j):
     return point_var(Point(i, j))
 
 
+def relation_rank(lab):
+    """Rank of the labeling's relation lattice, from the search's one Smith step."""
+    return len(_relations([dict.fromkeys(e, 1) for _, e in lab.edges]))
+
+
 def accepts(shape, lab):
     """The search's accept test on a labeling that meets every constraint."""
     certificate = is_prime(generators(shape))
-    return certificate.is_prime and certificate.rank == len(
-        _kernel_lattice(lab.monomial_map())
-    )
+    return certificate.is_prime and certificate.rank == relation_rank(lab)
 
 
 class TestConstraints:
@@ -107,6 +111,7 @@ class TestGridLabeling:
             verdict = search_labeling(shape)
             assert verdict.representable
             assert verdict.certificate == is_prime(gens)
+            assert verdict.certificate.rank == relation_rank(verdict.labeling)
             assert verdict.certificate.rank == exponent_lattice(gens).rank
 
     def test_frame_extra_kernel_element_crosses_hole(self, frame):

@@ -29,15 +29,14 @@ from polyminor.groebner import (
     reduce,
 )
 from polyminor.toric import (
-    IntegerMatrix,
     MonomialMap,
     PrimalityCertificate,
     TorsionWitness,
-    _kernel_lattice,
+    _exponent_lattice,
+    _relations,
     _saturation,
     _smith,
-    elementary_divisors,
-    exponent_lattice,
+    _vector_binomial,
     is_prime,
     is_saturated_lattice,
     revlex_basis,
@@ -66,30 +65,40 @@ def mono(*vs):
     return Monomial.from_vars(vs)
 
 
-def matrix_of(rows):
-    cols = tuple(x(0, k) for k in range(len(rows[0])))
-    return IntegerMatrix(cols, tuple(tuple(r) for r in rows))
+def divisors_of(rows):
+    """_smith's nonzero elementary divisors; their number is the rank."""
+    divisors, _, _ = _smith(rows, len(rows[0]))
+    return tuple(divisors)
+
+
+def exponent_rows(gens):
+    """The vectors plus - minus of the generators over their sorted variables."""
+    columns = sorted({v for g in gens for v in g.vars()})
+    return [[g.plus.exponent(v) - g.minus.exponent(v) for v in columns] for g in gens]
+
+
+def relation_binomials(mapping):
+    """The map's relation lattice basis, as the graph search builds it."""
+    images = [dict(image.exps) for _, image in mapping.assignment]
+    return [_vector_binomial(col, mapping.sources()) for col in _relations(images)]
 
 
 class TestSmithForm:
     def test_identity(self):
-        assert elementary_divisors(matrix_of([[1, 0], [0, 1]])) == (1, 1)
+        assert divisors_of([[1, 0], [0, 1]]) == (1, 1)
 
     def test_torsion_two(self):
-        assert elementary_divisors(matrix_of([[2, 0], [0, 1]])) == (1, 2)
+        assert divisors_of([[2, 0], [0, 1]]) == (1, 2)
 
     def test_single_row_content(self):
-        assert elementary_divisors(matrix_of([[2, 4, 6]])) == (2,)
-        assert elementary_divisors(matrix_of([[1, 1, -1, -1]])) == (1,)
+        assert divisors_of([[2, 4, 6]]) == (2,)
+        assert divisors_of([[1, 1, -1, -1]]) == (1,)
 
     def test_dependent_rows_drop_rank(self):
-        m = matrix_of([[1, 2, 3], [2, 4, 6]])
-        assert elementary_divisors(m) == (1,)
-        assert m.rank == 1
+        assert divisors_of([[1, 2, 3], [2, 4, 6]]) == (1,)
 
     def test_divisibility_chain(self):
-        divs = elementary_divisors(matrix_of([[2, 0], [0, 3]]))
-        assert divs == (1, 6)
+        assert divisors_of([[2, 0], [0, 3]]) == (1, 6)
 
     def test_against_sympy_random(self):
         rng = random.Random(20260826)
@@ -101,7 +110,7 @@ class TestSmithForm:
             ]
             if not any(any(r) for r in rows):
                 continue
-            mine = list(elementary_divisors(matrix_of(rows)))
+            mine = list(divisors_of(rows))
             theirs = sympy_smith_divisors(rows)
             assert mine == sorted(theirs), rows
 
@@ -136,43 +145,45 @@ class TestSmithForm:
             rows = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
             if not any(any(r) for r in rows):
                 continue
-            assert matrix_of(rows).rank == sympy_rank(rows), rows
+            assert len(divisors_of(rows)) == sympy_rank(rows), rows
 
 
 class TestExponentLattice:
     def test_minor_row(self):
-        m = exponent_lattice([inner_minor(Interval(Point(0, 0), Point(1, 1)))])
-        assert len(m.columns) == 4
-        assert len(m.rows) == 1
-        assert sorted(m.rows[0]) == [-1, -1, 1, 1]
+        f = inner_minor(Interval(Point(0, 0), Point(1, 1)))
+        assert len(f.vars()) == 4
+        assert sorted(exponent_rows([f])[0]) == [-1, -1, 1, 1]
+        assert is_prime([f]).rank == 1
+        assert is_saturated_lattice([f]) == (True, None)
 
     def test_duplicates_dropped(self):
         f = inner_minor(Interval(Point(0, 0), Point(1, 1)))
-        m = exponent_lattice([f, f])
-        assert len(m.rows) == 1
+        assert is_prime([f, f]).rank == 1
+        assert _exponent_lattice([f, f]) == _exponent_lattice([f])
 
     def test_frame_shape_and_rank(self, frame):
-        m = exponent_lattice(generators(frame))
-        assert len(m.rows) == 20
-        assert len(m.columns) == 16
-        assert m.rank == 8
-        assert set(elementary_divisors(m)) == {1}
+        gens = generators(frame)
+        assert len(set(gens)) == 20
+        assert len({v for g in gens for v in g.vars()}) == 16
+        assert is_prime(gens).rank == 8
+        assert is_saturated_lattice(gens) == (True, None)
 
     def test_frame_rank_against_sympy(self, frame):
-        m = exponent_lattice(generators(frame))
-        assert sympy_rank([list(r) for r in m.rows]) == 8
+        gens = generators(frame)
+        assert sympy_rank(exponent_rows(gens)) == is_prime(gens).rank == 8
 
 
 class TestLatticeSaturation:
     def test_saturated_single_minor(self):
-        m = exponent_lattice([inner_minor(Interval(Point(0, 0), Point(1, 1)))])
-        ok, witness = is_saturated_lattice(m)
+        ok, witness = is_saturated_lattice(
+            [inner_minor(Interval(Point(0, 0), Point(1, 1)))]
+        )
         assert ok and witness is None
 
     def test_square_difference_witness(self):
         # x^2 - y^2: lattice (2, -2), saturation adds (1, -1)
         f = Binomial.make(mono(x(0, 0), x(0, 0)), mono(x(0, 1), x(0, 1)))
-        ok, witness = is_saturated_lattice(exponent_lattice([f]))
+        ok, witness = is_saturated_lattice([f])
         assert not ok
         assert witness.divisor == 2
         assert {witness.binomial.plus, witness.binomial.minus} == {
@@ -180,19 +191,20 @@ class TestLatticeSaturation:
         }
 
     def test_witness_multiple_lies_in_lattice(self):
+        # (2, 1, -2, -1) has content 1; doubling every exponent gives torsion 2
         f = Binomial.make(mono(x(0, 0), x(0, 0), x(1, 0)), mono(x(0, 1), x(0, 1), x(1, 1)))
-        m = exponent_lattice([f])
-        ok, witness = is_saturated_lattice(m)
-        if ok:
-            return
-        cols = m.columns
+        g = Binomial(f.plus.mul(f.plus), f.minus.mul(f.minus))
+        assert is_saturated_lattice([f]) == (True, None)
+        ok, witness = is_saturated_lattice([g])
+        assert not ok
+        cols = sorted(g.vars())
         w = [
             witness.binomial.plus.exponent(v) - witness.binomial.minus.exponent(v)
             for v in cols
         ]
         scaled = tuple(witness.divisor * c for c in w)
         # d * w must be an integer combination of the rows; here rank 1
-        row = m.rows[0]
+        row = exponent_rows([g])[0]
         assert any(
             scaled == tuple(k * c for c in row) for k in range(-6, 7)
         )
@@ -275,8 +287,7 @@ class TestRevlexBasis:
         member = Binomial(gens[0].plus.mul(w), gens[0].minus.mul(w))
         outsider = Binomial.make(mono(x(0, 0), x(9, 9)), mono(x(0, 1), x(9, 9)))
         for f, expected in ((member, True), (outsider, False)):
-            assert lex.contains(f) is expected
-            assert basis.contains(f) is expected
+            assert ideal_membership(f, lex) is expected
             assert ideal_membership(f, basis) is expected
             assert (reduce(f, basis.elements, basis.order) is None) is expected
 
@@ -340,7 +351,7 @@ class TestPrimality:
     def test_certificate_carries_lattice_rank(self, frame):
         gens = generators(frame)
         cert = is_prime(gens)
-        assert cert.rank == exponent_lattice(gens).rank == 8
+        assert cert.rank == oracles.exponent_lattice(gens).rank == 8
         assert is_prime([]).rank == 0
         # the rank is a by-product: not compared, not printed
         assert cert == PrimalityCertificate("prime", True, True, None)
@@ -544,7 +555,7 @@ class TestSeededKernel:
     def test_equal_to_unseeded_kernel(self):
         # the minors lie in each kernel, so seeding with them changes nothing
         for shape, mapping in reference_maps():
-            seeded = saturate([*generators(shape), *_kernel_lattice(mapping)])
+            seeded = saturate([*generators(shape), *relation_binomials(mapping)])
             assert seeded == toric_ideal_of_map(mapping), mapping
 
     def test_needs_the_ideal_inside_the_kernel(self, unit_cell):
@@ -560,6 +571,76 @@ class TestSeededKernel:
         ).monomial_map()
         gens = generators(unit_cell)
         assert gens == (inner_minor(Interval(Point(0, 0), Point(1, 1))),)
-        assert _kernel_lattice(mapping) == []
+        assert relation_binomials(mapping) == []
         assert toric_ideal_of_map(mapping) == ()
-        assert saturate([*gens, *_kernel_lattice(mapping)]) == gens
+        assert saturate([*gens, *relation_binomials(mapping)]) == gens
+
+
+# the four 7-cell polyominoes whose search rejects a labeling by strict
+# containment; test_graphrep checks their witnesses
+STRICT_CONTAINMENT_SHAPES = (
+    Polyomino([(0, 0), (0, 1), (1, 0), (2, 0), (3, 0), (3, 1), (4, 0)]),
+    Polyomino([(0, 0), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3), (1, 4)]),
+    Polyomino([(0, 1), (1, 1), (2, 1), (2, 2), (3, 1), (4, 0), (4, 1)]),
+    Polyomino([(0, 2), (1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (2, 4)]),
+)
+
+
+def lattice_shapes():
+    """Every polyomino of up to 5 cells, the frame and the localization family."""
+    shapes = [s for n in range(1, 6) for s in enumerate_polyominoes(n)]
+    shapes.append(frame_shape())
+    shapes.extend(complement(b, inner) for b, inner in localization_family())
+    return shapes
+
+
+class TestLatticeStepReference:
+    """_exponent_lattice and _relations against the matrix-type path they replace."""
+
+    def test_rank_and_torsion_equal(self):
+        f = Binomial.make(mono(x(0, 0), x(0, 0), x(1, 0)), mono(x(0, 1), x(0, 1), x(1, 1)))
+        a, b, c = x(1, 0), x(0, 1), x(0, 0)
+        cases = [generators(shape) for shape in lattice_shapes()] + [
+            [Binomial.make(mono(c, c), mono(b, b))],
+            [f],
+            [Binomial(f.plus.mul(f.plus), f.minus.mul(f.minus))],
+            [Binomial.make(mono(a, b), mono(a, c))],
+        ]
+        assert len(cases) == 91 + 1 + 20 + 4
+        # several generators, so the witness depends on the row order
+        rng = random.Random(1303)
+        xs = [x(0, k) for k in range(5)]
+        for _ in range(300):
+            gens = []
+            for _ in range(rng.randint(2, 3)):
+                degree = rng.randint(2, 3)
+                p, q = (Monomial((rng.choice(xs), 1) for _ in range(degree)) for _ in "pq")
+                if p != q:
+                    gens.append(Binomial(p, q))
+            cases.append(gens)
+        torsion = 0
+        for gens in cases:
+            want = oracles._rank_and_torsion(oracles.exponent_lattice(gens))
+            assert _exponent_lattice(gens) == want, gens
+            assert is_saturated_lattice(gens) == (want[1] is None, want[1])
+            torsion += want[1] is not None
+        assert torsion > 30
+
+    def test_relations_equal(self):
+        labelings = [bipartite_grid_labeling(shape) for shape in lattice_shapes()]
+        for shape in STRICT_CONTAINMENT_SHAPES:
+            (event,) = [
+                e
+                for e in search_labeling(shape).trace
+                if e.detail == "labeling kernel strictly contains the ideal"
+            ]
+            labelings.append(GraphLabeling(event.assignment))
+        maps = [lab.monomial_map() for lab in labelings]
+        maps.extend(mapping for _, mapping in reference_maps())
+        for mapping in maps:
+            assert relation_binomials(mapping) == oracles._kernel_lattice(mapping), mapping
+        for lab in labelings:
+            # the search's matrix: vertex u is the target aux_var("t", u)
+            edges = [dict.fromkeys(e, 1) for _, e in lab.edges]
+            images = [dict(image.exps) for _, image in lab.monomial_map().assignment]
+            assert _relations(edges) == _relations(images), lab
