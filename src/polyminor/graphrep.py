@@ -16,26 +16,38 @@ renaming of it.
 A complete labeling satisfies every constraint, so each inner minor maps
 to zero and the minor ideal I, whose generators span the exponent lattice
 L, lies in the kernel J.  J is the lattice ideal of the saturated lattice
-M of integer relations among the edge vectors, so it is prime.  One Smith
-step on the labeling's matrix gives a basis B of M, and rank M is the
-number of its kernel columns.  Hence J = I exactly when I is prime and
-rank L = rank M.  If so, I equals its saturation by the product of all
-variables, which is the lattice ideal of the saturated L
-(Eisenbud-Sturmfels, "Binomial ideals"), and a saturated L inside M of
-equal rank is M.  Conversely every binomial of I = J has its exponent
-difference in L, so M lies in L.  Labelings are accepted by this exact
-test, with no elimination.
+M of integer relations among the edge vectors, so it is prime.  M is the
+kernel of the graph's unsigned incidence matrix, which has rank V - b for
+V vertices and b bipartite components (Grossman-Kulkarni-Schochetman,
+Linear Algebra Appl. 1995), so rank M = E - V + b with E edges.  Hence
+J = I exactly when I is prime and rank L = rank M.  If so, I equals its
+saturation by the product of all variables, which is the lattice ideal
+of the saturated L (Eisenbud-Sturmfels, "Binomial ideals"), and a
+saturated L inside M of equal rank is M.  Conversely every binomial of
+I = J has its exponent difference in L, so M lies in L.  Labelings are
+accepted by this exact test, which reads I's is_prime certificate,
+computed once per search, and a count on the graph: a labeling costs no
+elimination, no Smith step and no LEX basis.
 
-A rejected labeling still yields a kernel element outside the ideal as
-its witness, and the same basis B seeds that kernel.  I lies in J because
-every constraint holds, the ideal I_B of B lies in J, and J is prime, so
+Kernel quadrics are tested first.  The minors span the quadrics of I, so
+a quadric u - v lies in I exactly when a chain of minors, each read as
+an edge joining its two monomials, joins u to v (quadric_classes).  A
+kernel quadric outside I rejects the labeling and is its witness.
+
+A labeling rejected by the lattice test still yields a kernel element
+outside the ideal as its witness.  One Smith step on the labeling's
+matrix gives a basis B of M, and I lies in J because every constraint
+holds, the ideal I_B of B lies in J, and J is prime, so
 J = I_B : (prod x)^oo = (I + I_B) : (prod x)^oo (Sturmfels, "Groebner
-Bases and Convex Polytopes", Lemma 12.2).
+Bases and Convex Polytopes", Lemma 12.2).  Only this branch builds the
+reduced LEX basis of I, to find the first kernel element outside it, so
+the search spends no deadline or degree cap on a basis before branching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Iterable
 
@@ -44,8 +56,10 @@ from .geometry import CellCollection, inner_intervals
 from .groebner import (
     DEFAULT_DEGREE_CAP,
     Deadline,
+    GroebnerBasis,
     buchberger,
     ideal_membership,
+    quadric_classes,
 )
 from .toric import (
     MonomialMap,
@@ -256,6 +270,37 @@ def _complete(
     return hole_var, edge, None
 
 
+def _relation_rank(edges: list[GEdge]) -> int:
+    """E - V + b: the rank of the integer relations among the edges' endpoint vectors.
+
+    The unsigned incidence matrix of a graph with V vertices, counting
+    those some edge uses, and b bipartite components has rank V - b
+    (Grossman-Kulkarni-Schochetman, Linear Algebra Appl. 1995); its
+    kernel has rank E - V + b.  One breadth-first 2-colouring per
+    component finds b.
+    """
+    adjacent: dict[int, list[int]] = {}
+    for u, w in edges:
+        adjacent.setdefault(u, []).append(w)
+        adjacent.setdefault(w, []).append(u)
+    colour: dict[int, int] = {}
+    bipartite = 0
+    for start in adjacent:
+        if start in colour:
+            continue
+        colour[start] = 0
+        queue, odd = [start], False
+        for u in queue:
+            for w in adjacent[u]:
+                if w not in colour:
+                    colour[w] = 1 - colour[u]
+                    queue.append(w)
+                elif colour[w] == colour[u]:
+                    odd = True
+        bipartite += not odd
+    return len(edges) - len(adjacent) + bipartite
+
+
 class _Search:
     """Search state for one collection: a single assignment and its undo trail.
 
@@ -277,9 +322,7 @@ class _Search:
         }
         self.vertex_cap = 2 * len(self.variables)
         self.gens = generators(collection)
-        self.ideal_basis = buchberger(
-            self.gens, LEX, degree_cap=degree_cap, deadline=deadline
-        )
+        self.classes = quadric_classes(self.gens)
         self.deadline = deadline
         self.degree_cap = degree_cap
         self.certificate: PrimalityCertificate | None = None
@@ -445,6 +488,17 @@ class _Search:
 
     # ---- full labeling verification ----------------------------------
 
+    @cached_property
+    def ideal_basis(self) -> GroebnerBasis:
+        """The reduced LEX basis of the minors, built on first use.
+
+        Only a rejection by strict containment reads it: the quadric test
+        and the accept test need no basis.
+        """
+        return buchberger(
+            self.gens, LEX, degree_cap=self.degree_cap, deadline=self.deadline
+        )
+
     def _quadratic_witness(self) -> Binomial | None:
         # an edge's key counts its endpoints, one byte per vertex; a pair
         # has four endpoints, so no byte carries and equal keys are equal
@@ -463,9 +517,9 @@ class _Search:
             for pair in rest:
                 quadric = first, pair
                 if quadric not in self.outside:
-                    f = Binomial.make(Monomial.from_vars(first), Monomial.from_vars(pair))
-                    member = f is None or ideal_membership(f, self.ideal_basis)
-                    self.outside[quadric] = None if member else f
+                    u, w = Monomial.from_vars(first), Monomial.from_vars(pair)
+                    member = self.classes.get(u, u) == self.classes.get(w, w)
+                    self.outside[quadric] = None if member else Binomial.make(u, w)
                 if self.outside[quadric] is not None:
                     return self.outside[quadric]
         return None
@@ -473,17 +527,16 @@ class _Search:
     def verify_full(self, depth: int) -> GraphLabeling | None:
         """The labeling when its kernel equals the ideal, else None.
 
-        A kernel quadric outside the ideal rejects first.  Otherwise one
-        Smith step on the edges' endpoint vectors, with the vertices as
-        rows in ascending order, gives a basis of the relation lattice M,
-        and rank M is the number of its vectors.  The ideal lies in the
-        prime kernel, so the two are equal exactly when the ideal is prime
-        with a lattice of rank M; its is_prime certificate, computed the
-        first time a labeling gets here, holds both facts.  When they are
-        not, the kernel is the saturation of the minors together with the
-        basis as binomials (see the module docstring), and the first
-        element of its reduced LEX basis outside the ideal becomes the
-        rejection witness.
+        A kernel quadric outside the ideal, found by the minors' quadric
+        classes, rejects first.  Otherwise the labeling is accepted when
+        the ideal's is_prime certificate, computed the first time a
+        labeling gets here, is prime with rank E - V + b (_relation_rank).
+        Only a labeling that fails this count runs a Smith step on the
+        edges' endpoint vectors, with the vertices as rows in ascending
+        order.  The kernel is the saturation of the minors together with
+        that lattice basis as binomials (see the module docstring), and
+        the first element of its reduced LEX basis outside the ideal,
+        tested against ideal_basis, becomes the rejection witness.
         """
         witness = self._quadratic_witness()
         if witness is not None:
@@ -495,16 +548,16 @@ class _Search:
                 witness=witness,
             )
             return None
-        endpoints = [dict.fromkeys(self.assignment[v], 1) for v in self.variables]
-        lattice = _relations(endpoints, self.deadline)
         if self.certificate is None:
             self.certificate = is_prime(
                 self.gens, degree_cap=self.degree_cap, deadline=self.deadline
             )
-        if self.certificate.is_prime and self.certificate.rank == len(lattice):
+        edges = [self.assignment[v] for v in self.variables]
+        if self.certificate.is_prime and self.certificate.rank == _relation_rank(edges):
             self.log("accept", "kernel equals the ideal", depth,
                      assignment=self.snapshot())
             return GraphLabeling(tuple(self.assignment.items()))
+        lattice = _relations([dict.fromkeys(e, 1) for e in edges], self.deadline)
         basis = [_vector_binomial(col, self.variables) for col in lattice]
         kernel = saturate(
             [*self.gens, *basis], degree_cap=self.degree_cap, deadline=self.deadline
@@ -590,11 +643,16 @@ def search_labeling(
     parameter: a labeling has one edge per point, so up to renaming its
     vertices all lie below the cap, and an exhausted search is therefore
     a proof of non-representability.  Each complete labeling is verified
-    from one lattice step: it is accepted by the rank of its relation
-    lattice, and a rejection's witness comes from the kernel seeded with
-    the minors and that lattice's basis (see the module docstring).  The
-    verdict carries the is_prime certificate the accept test used, or
-    None when no complete labeling reached that test.
+    with no LEX basis on the common paths: its kernel quadrics are tested
+    by the minors' quadric classes, and it is accepted when the ideal is
+    prime with a lattice of rank E - V + b.  Only a labeling that count
+    rejects runs a Smith step, and its witness is the first element of
+    the kernel, seeded with the minors and that lattice's basis, that
+    lies outside the ideal; only this case builds the ideal's LEX basis,
+    to test that (see the module docstring).  So the deadline and the
+    degree cap are spent on no basis before branching.  The verdict
+    carries the is_prime certificate the accept test used, or None when
+    no complete labeling reached that test.
     """
     state = _Search(collection, deadline or Deadline.unlimited(), degree_cap)
     seed = max(

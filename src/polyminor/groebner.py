@@ -28,6 +28,7 @@ __all__ = [
     "reduce",
     "buchberger",
     "quadratic_gb_condition",
+    "quadric_classes",
     "ideal_membership",
 ]
 
@@ -366,6 +367,29 @@ def quadratic_gb_condition(collection: CellCollection) -> bool:
                 continue
             return False
     return True
+
+
+def quadric_classes(gens: Iterable[Binomial]) -> dict[Monomial, Monomial]:
+    """Each monomial of the generators mapped to one representative of its class.
+
+    Read each generator as an edge joining plus and minus; a class is a
+    connected component.  A monomial in no generator is its own class, so
+    look one up with classes.get(m, m).  When the generators are quadrics,
+    they span the ideal's degree-2 part, and a quadric u - v lies in the
+    ideal exactly when u and v share a class: e_u - e_v lies in the span
+    of the vectors e_plus - e_minus exactly when an edge path joins u to v.
+    """
+    parent: dict[Monomial, Monomial] = {}
+
+    def find(m: Monomial) -> Monomial:
+        while (up := parent.setdefault(m, m)) != m:
+            parent[m] = parent[up]  # path splitting
+            m = up
+        return m
+
+    for g in gens:
+        parent[find(g.plus)] = find(g.minus)
+    return {m: find(m) for m in parent}
 
 
 def ideal_membership(f: Binomial, basis: GroebnerBasis) -> bool:

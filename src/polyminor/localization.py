@@ -33,6 +33,7 @@ from .groebner import (
     Deadline,
     buchberger,
     ideal_membership,
+    quadric_classes,
 )
 from .toric import revlex_basis
 
@@ -282,7 +283,10 @@ def verify_localization(
     nonzerodivisor, the shrunken collection is a simple polyomino, and
     the localized generators generate exactly the shrunken polyomino's
     ideal (every localized core lies in it, and every one of its inner
-    minors arises literally as a core).
+    minors arises literally as a core).  The inner minors span the
+    quadrics of that ideal, so their quadric classes decide the cores of
+    degree (2, 2); a LEX basis is built only when some core has another
+    degree.
     """
     violations = localization_hypotheses(bounding, inner)
     if violations:
@@ -319,11 +323,20 @@ def verify_localization(
     for gen in generators(ambient):
         cores.append(_core_binomial(gen, substitution, cvar, rename))
     shrunk_gens = generators(remaining)
-    shrunk_basis = buchberger(
-        shrunk_gens, LEX, degree_cap=degree_cap, deadline=deadline
-    )
     live = [f for f in cores if f is not None]
-    forward = all(ideal_membership(f, shrunk_basis) for f in live)
+    classes = quadric_classes(shrunk_gens)
+    quadrics: list[Binomial] = []
+    others: list[Binomial] = []
+    for f in live:
+        (quadrics if f.plus.degree == f.minus.degree == 2 else others).append(f)
+    forward = all(
+        classes.get(f.plus, f.plus) == classes.get(f.minus, f.minus) for f in quadrics
+    )
+    if forward and others:
+        shrunk_basis = buchberger(
+            shrunk_gens, LEX, degree_cap=degree_cap, deadline=deadline
+        )
+        forward = all(ideal_membership(f, shrunk_basis) for f in others)
     core_set = {f for f in live}
     backward = all(g in core_set for g in shrunk_gens)
     checks["ideal_correspondence"] = forward and backward

@@ -1,8 +1,10 @@
+import hashlib
+import random
 from collections import Counter
 
 import pytest
 
-from polyminor import graphrep
+from polyminor import graphrep, toric
 from polyminor.binomials import Binomial, generators, inner_minor, point_var
 from polyminor.geometry import CellCollection, Interval, Point, Polyomino, complement
 from polyminor.graphrep import (
@@ -14,6 +16,7 @@ from polyminor.graphrep import (
     verify_representation,
 )
 from polyminor.groebner import DEFAULT_DEGREE_CAP, Deadline, buchberger, ideal_membership
+from polyminor.enumeration import enumerate_polyominoes
 from polyminor.survey import row_id
 from polyminor.toric import _relations, is_prime, toric_ideal_of_map
 
@@ -348,3 +351,111 @@ class TestBookkeeping:
         verdict = search_labeling(ring(n))
         assert not verdict.representable
         assert trace_digest(verdict) == digest
+
+
+def relations_count(edges):
+    """The number of kernel vectors of one Smith step on the edges' endpoints."""
+    return len(_relations([dict.fromkeys(e, 1) for e in edges]))
+
+
+class TestCountingAccept:
+    """Accepting by E - V + b and quadric classes, with no Smith step or basis."""
+
+    def test_six_cell_verdicts_pinned(self):
+        # status, labeling, trace and certificate of every polyomino of at
+        # most six cells, as the Smith-step accept and the LEX quadric test
+        # gave them; the certificate's rank is not in its repr
+        digest = hashlib.sha256()
+        for n in range(1, 7):
+            for shape in enumerate_polyominoes(n):
+                v = search_labeling(shape)
+                rank = None if v.certificate is None else v.certificate.rank
+                digest.update(
+                    repr((v.status, v.labeling, v.trace, v.certificate, rank)).encode()
+                )
+        assert digest.hexdigest() == (
+            "c755b56d6cd32c18e292da788b9b7f97dcb0701212f822415a334bcedc5162c6"
+        )
+
+    def test_count_equals_smith_step_on_six_cells(self, monkeypatch):
+        # every complete labeling that reaches the lattice test in survey(6),
+        # whose rows run these searches
+        counted = []
+        rank = graphrep._relation_rank
+
+        def checked(edges):
+            counted.append(relations_count(edges))
+            assert rank(edges) == counted[-1], edges
+            return counted[-1]
+
+        monkeypatch.setattr(graphrep, "_relation_rank", checked)
+        for n in range(1, 7):
+            for shape in enumerate_polyominoes(n):
+                assert search_labeling(shape).representable
+        assert len(counted) == 307
+
+    def test_count_equals_smith_step_on_random_graphs(self):
+        # disjoint unions of cycles with chords and pendant edges; odd
+        # cycles make components non-bipartite, so E - V + components fails
+        rng = random.Random(20)
+        odd_and_split = 0
+        for _ in range(300):
+            edges: set[tuple[int, int]] = set()
+            top = 0
+            lengths = [rng.randint(2, 7) for _ in range(rng.randint(1, 4))]
+            for k in lengths:
+                ring = rng.sample(range(top, top + 2 * k), k)
+                top += 2 * k + 1
+                if k == 2:
+                    edges.add(tuple(sorted(ring)))
+                    continue
+                for a, b in zip(ring, ring[1:] + ring[:1]):
+                    edges.add((min(a, b), max(a, b)))
+                for a in ring:
+                    b = rng.choice(ring)
+                    if a != b and rng.random() < 0.3:
+                        edges.add((min(a, b), max(a, b)))
+                if rng.random() < 0.5:
+                    edges.add((ring[0], top - 1))
+            edges = sorted(edges)
+            assert graphrep._relation_rank(edges) == relations_count(edges), edges
+            odd_and_split += len(lengths) > 1 and any(k % 2 for k in lengths)
+        assert odd_and_split > 50
+
+    def test_small_shapes_accept_without_basis_or_smith(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the accept path ran a basis or a Smith step")
+
+        monkeypatch.setattr(graphrep, "buchberger", refuse)
+        monkeypatch.setattr(graphrep, "_relations", refuse)
+        monkeypatch.setattr(toric, "_relations", refuse)
+        for n in range(1, 5):
+            for shape in enumerate_polyominoes(n):
+                verdict = search_labeling(shape)
+                assert verdict.representable
+                assert verdict.certificate.rank == relation_rank(verdict.labeling)
+
+    @pytest.mark.parametrize(
+        "ident, witness",
+        [
+            ("7c:0.0,0.1,1.0,2.0,3.0,3.1,4.0", "x(5,0)*x(3,0)*x(0,2) - x(3,2)*x(2,0)*x(0,0)"),
+            ("7c:0.0,0.3,1.0,1.1,1.2,1.3,1.4", "x(1,5)*x(1,3)*x(0,0) - x(1,2)*x(1,0)*x(0,3)"),
+            ("7c:0.1,1.1,2.1,2.2,3.1,4.0,4.1", "x(4,1)*x(2,3)*x(1,1) - x(4,0)*x(2,1)*x(0,1)"),
+            ("7c:0.2,1.0,1.1,1.2,1.3,1.4,2.4", "x(3,4)*x(1,2)*x(1,0) - x(1,4)*x(1,1)*x(0,2)"),
+        ],
+    )
+    def test_strict_witnesses_pinned(self, ident, witness):
+        # the labelings the count rejects although no quadric refutes them
+        shape = CellCollection(
+            tuple(map(int, cell.split("."))) for cell in ident[3:].split(",")
+        )
+        verdict = search_labeling(shape)
+        (event,) = [
+            e
+            for e in verdict.trace
+            if e.detail == "labeling kernel strictly contains the ideal"
+        ]
+        assert repr(event.witness) == witness
+        edges = [e for _, e in event.assignment]
+        assert graphrep._relation_rank(edges) == relations_count(edges)
+        assert relations_count(edges) == verdict.certificate.rank + 1

@@ -17,6 +17,7 @@ from polyminor.binomials import (
     point_var,
 )
 from polyminor.geometry import Interval, Point, Polyomino, complement
+from polyminor.localization import construct_p_prime
 import polyminor.groebner as groebner
 from polyminor.groebner import (
     BudgetExceeded,
@@ -26,6 +27,7 @@ from polyminor.groebner import (
     buchberger,
     ideal_membership,
     quadratic_gb_condition,
+    quadric_classes,
     reduce,
     s_pair,
 )
@@ -436,6 +438,49 @@ class TestMembership:
         gens = generators(frame)
         assert buchberger(gens).elements == buchberger(tuple(reversed(gens))).elements
         assert buchberger(gens).elements != buchberger(gens[:-1]).elements
+
+
+class TestQuadricClasses:
+    """The class test for quadrics against membership in a LEX basis."""
+
+    def test_agrees_with_lex_membership(self):
+        family = localization_family()
+        collections = [
+            *SMALL_SHAPES,
+            *(complement(bounding, inner) for bounding, inner in family),
+            *(construct_p_prime(bounding, inner)[0] for bounding, inner in family),
+        ]
+        outside = aux_var("z", 0)
+        members = 0
+        for collection in collections:
+            gens = generators(collection)
+            classes = quadric_classes(gens)
+            basis = buchberger(gens, LEX)
+
+            def check(u, v):
+                f = Binomial.make(u, v)
+                same = classes.get(u, u) == classes.get(v, v)
+                assert same == ideal_membership(f, basis), (collection, f)
+                return same
+
+            # the ideal is homogeneous in columns and rows, so its quadrics
+            # join monomials with equal column and row multisets
+            variables = sorted(point_var(p) for p in collection.vertex_set)
+            fibers: dict[tuple, list[Monomial]] = {}
+            for k, a in enumerate(variables):
+                for b in variables[k:]:
+                    key = tuple(tuple(sorted(v.key[axis] for v in (a, b))) for axis in (0, 1))
+                    fibers.setdefault(key, []).append(mono(a, b))
+            firsts = [fiber[0] for fiber in fibers.values()]
+            for fiber in fibers.values():
+                for k, u in enumerate(fiber):
+                    members += sum(check(u, v) for v in fiber[k + 1:])
+            # controls outside the ideal: across fibers, and through a
+            # variable that no generator has
+            for u, v in zip(firsts, firsts[1:]):
+                assert not check(u, v)
+            assert not check(mono(variables[0], outside), mono(variables[-1], outside))
+        assert members > len(collections)
 
 
 class TestGroebnerBasisContainer:

@@ -1,6 +1,7 @@
 import pytest
 
-from polyminor.binomials import LEX, generators, point_var
+from polyminor import localization
+from polyminor.binomials import LEX, Binomial, Monomial, generators, point_var
 from polyminor.geometry import Cell, CellCollection, Interval, Point, Polyomino, complement
 from polyminor.groebner import buchberger, ideal_membership
 from polyminor.localization import (
@@ -12,7 +13,7 @@ from polyminor.localization import (
     verify_localization,
 )
 
-from oracles import marker_saturate
+from oracles import localization_family, marker_saturate
 
 FRAME_BOUNDING = Interval(Point(0, 0), Point(3, 3))
 FRAME_HOLE = CellCollection([(1, 1)])
@@ -166,3 +167,41 @@ class TestVerifyLocalization:
         inner = CellCollection([(1, 1), (1, 2)])
         report = verify_localization(bounding, inner)
         assert report.all_checks_pass
+
+
+class TestCoreMembership:
+    def test_family_cores_need_no_basis(self, monkeypatch):
+        # every core is a quadric, decided by the minors' quadric classes
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a LEX basis of P'")
+
+        monkeypatch.setattr(localization, "buchberger", refuse)
+        for bounding, inner in localization_family():
+            assert verify_localization(bounding, inner).all_checks_pass
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_other_cores_use_the_basis(self, monkeypatch, inside):
+        # the frame's first repeated core, made cubic: f z stays in I_{P'},
+        # and f.plus (z - w) does not, since I_{P'} is prime
+        seen, replaced, bases = set(), [], []
+        core = localization._core_binomial
+        build = localization.buchberger
+
+        def cubic(*args):
+            f = core(*args)
+            if f is not None and f in seen and not replaced:
+                replaced.append(f)
+                z, w = (Monomial.from_vars([v]) for v in sorted(f.vars())[:2])
+                if inside:
+                    return Binomial.make(f.plus.mul(z), f.minus.mul(z))
+                return Binomial.make(f.plus.mul(z), f.plus.mul(w))
+            seen.add(f)
+            return f
+
+        monkeypatch.setattr(localization, "_core_binomial", cubic)
+        monkeypatch.setattr(
+            localization, "buchberger", lambda *a, **k: bases.append(a) or build(*a, **k)
+        )
+        report = verify_localization(FRAME_BOUNDING, FRAME_HOLE)
+        assert replaced and len(bases) == 1
+        assert report.checks["ideal_correspondence"] == inside
