@@ -83,12 +83,18 @@ class Monomial:
                 raise ValueError(f"negative exponent on {v}")
             if e:
                 merged[v] = merged.get(v, 0) + e
-        object.__setattr__(
-            self,
-            "exps",
-            tuple(sorted(merged.items(), key=lambda ve: ve[0], reverse=True)),
-        )
-        object.__setattr__(self, "_hash", hash(self.exps))
+        # the keys are distinct, so the pairs sort by their variables alone
+        ordered = tuple(sorted(merged.items(), reverse=True))
+        object.__setattr__(self, "exps", ordered)
+        object.__setattr__(self, "_hash", hash(ordered))
+
+    @classmethod
+    def _of(cls, exps: tuple[tuple[Var, int], ...]) -> "Monomial":
+        """Trusted constructor: exps already merged, positive and descending."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "exps", exps)
+        object.__setattr__(self, "_hash", hash(exps))
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Monomial is immutable")
@@ -289,21 +295,33 @@ class Binomial:
         return f"{self.plus!r} - {self.minus!r}"
 
 
+def _minor(a, b, ba, ab) -> Binomial:
+    """The minor of [a, b] from the (Var, 1) entries of a, b, (b.i, a.j), (a.i, b.j).
+
+    Both sides are already descending because b.i > a.i, and the diagonal
+    side leads under LEX because b dominates both anti-diagonal corners.
+    """
+    return Binomial(Monomial._of((b, a)), Monomial._of((ba, ab)))
+
+
 def inner_minor(interval: Interval) -> Binomial:
     """The 2-minor of an interval: diagonal product minus anti-diagonal product.
 
-    Oriented under LEX; the diagonal product is always the larger side
-    because the upper-right corner dominates both anti-diagonal corners.
+    Oriented under LEX: the diagonal product is the larger side.
     """
     a, b = interval.lower_left, interval.upper_right
-    c, d = interval.anti_diagonal_corners
-    diag = Monomial.from_vars((point_var(a), point_var(b)))
-    anti = Monomial.from_vars((point_var(c), point_var(d)))
-    f = Binomial.make(diag, anti)
-    assert f is not None and f.plus == diag
-    return f
+    return _minor(*((point_var(p), 1) for p in (a, b, (b.i, a.j), (a.i, b.j))))
 
 
 def generators(collection: CellCollection) -> tuple[Binomial, ...]:
-    """Inner 2-minors of the collection in canonical interval order."""
-    return tuple(inner_minor(iv) for iv in inner_intervals(collection))
+    """Inner 2-minors of the collection in canonical interval order.
+
+    Every corner of an inner interval is a vertex of the collection; each
+    vertex gets one (Var, 1) entry, shared by all the minors through it.
+    """
+    x = {p: (point_var(p), 1) for p in collection.vertex_set}
+    minors = []
+    for iv in inner_intervals(collection):
+        a, b = iv.lower_left, iv.upper_right
+        minors.append(_minor(x[a], x[b], x[b.i, a.j], x[a.i, b.j]))
+    return tuple(minors)

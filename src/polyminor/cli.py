@@ -8,6 +8,7 @@ budget or degree cap is exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -96,11 +97,11 @@ def _cmd_check_convex(args) -> int:
 
 
 def _cmd_gens(args) -> int:
-    gens = generators(_collection(args))
+    texts = [repr(g) for g in generators(_collection(args))]
     _emit(
         args,
-        {"count": len(gens), "generators": [repr(g) for g in gens]},
-        "\n".join([f"{len(gens)} generators"] + [f"  {g!r}" for g in gens]),
+        {"count": len(texts), "generators": texts},
+        "\n".join([f"{len(texts)} generators"] + [f"  {t}" for t in texts]),
     )
     return 0
 
@@ -111,12 +112,13 @@ def _cmd_groebner(args) -> int:
         degree_cap=args.degree_cap,
         deadline=_deadline(args),
     )
+    texts = [repr(g) for g in basis]
     _emit(
         args,
-        {"order": basis.order_tag, "count": len(basis), "elements": [repr(g) for g in basis]},
+        {"order": basis.order_tag, "count": len(texts), "elements": texts},
         "\n".join(
-            [f"reduced basis ({basis.order_tag}), {len(basis)} elements"]
-            + [f"  {g!r}" for g in basis]
+            [f"reduced basis ({basis.order_tag}), {len(texts)} elements"]
+            + [f"  {t}" for t in texts]
         ),
     )
     return 0
@@ -240,6 +242,7 @@ def _cmd_render(args) -> int:
     return 0
 
 
+@functools.cache  # built on first use; parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyminor",
@@ -278,8 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except _CliError as exc:

@@ -24,6 +24,7 @@ from polyminor.binomials import (
     MonomialOrder,
     Var,
     aux_var,
+    point_var,
 )
 from polyminor.geometry import (
     Cell,
@@ -114,6 +115,23 @@ def naive_inner_intervals(collection: CellCollection) -> tuple[Interval, ...]:
                     if inside:
                         found.append((Point(a_i, a_j), Point(b_i, b_j)))
     return tuple(Interval(a, b) for a, b in sorted(found))
+
+
+def naive_inner_minor(interval: Interval) -> Binomial:
+    """The 2-minor of an interval: diagonal product minus anti-diagonal product.
+
+    Oriented under LEX; the diagonal product is always the larger side
+    because the upper-right corner dominates both anti-diagonal corners.
+    Built through the general Monomial constructor and Binomial.make, the
+    reference for the package's trusted construction.
+    """
+    a, b = interval.lower_left, interval.upper_right
+    c, d = interval.anti_diagonal_corners
+    diag = Monomial.from_vars((point_var(a), point_var(b)))
+    anti = Monomial.from_vars((point_var(c), point_var(d)))
+    f = Binomial.make(diag, anti)
+    assert f is not None and f.plus == diag
+    return f
 
 
 def flood_is_simple(collection: CellCollection) -> bool:

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -16,10 +17,11 @@ from polyminor.binomials import (
     inner_minor,
     point_var,
 )
-from polyminor.geometry import Interval, Point
+from polyminor.enumeration import enumerate_polyominoes
+from polyminor.geometry import CellCollection, Interval, Point, complement, inner_intervals
 from polyminor.groebner import _Vectors
 
-from oracles import order_cmp, oriented
+from oracles import frame_shape, localization_family, naive_inner_minor, order_cmp, oriented
 
 
 def x(i: int, j: int) -> Var:
@@ -102,6 +104,14 @@ class TestMonomial:
 
     def test_repr_sorted_descending(self):
         assert repr(mono(x(0, 0), x(1, 1))) == "x(1,1)*x(0,0)"
+
+    def test_mixed_aux_and_point_exponents_sort_by_variable(self):
+        m = Monomial(
+            [(x(0, 3), 1), (aux_var("t", 5), 1), (x(2, 0), 2), (aux_var("y", 2), 3), (x(0, 3), 1)]
+        )
+        assert m.exps == (
+            (aux_var("y", 2), 3), (aux_var("t", 5), 1), (x(2, 0), 2), (x(0, 3), 2)
+        )
 
     @given(monomial_strategy(), monomial_strategy())
     @settings(max_examples=100)
@@ -285,3 +295,68 @@ class TestGenerators:
 
     def test_generators_deterministic(self, frame):
         assert generators(frame) == generators(frame)
+
+
+def _ring(width: int, height: int) -> CellCollection:
+    return CellCollection(
+        (i, j)
+        for i in range(width)
+        for j in range(height)
+        if not (0 < i < width - 1 and 0 < j < height - 1)
+    )
+
+
+def _comb(teeth: int, length: int) -> CellCollection:
+    spine = {(i, 0) for i in range(2 * teeth - 1)}
+    return CellCollection(spine | {(2 * t, j) for t in range(teeth) for j in range(1, length + 1)})
+
+
+# every polyomino of at most six cells, the 20 family ambients, a 40x40 ring,
+# a 15-tooth comb and a far pair of cells
+DIFFERENTIAL_SHAPES = (
+    [shape for n in range(1, 7) for shape in enumerate_polyominoes(n)]
+    + [complement(bounding, inner) for bounding, inner in localization_family()]
+    + [_ring(40, 40), _comb(15, 10), CellCollection([(0, 0), (300, 300)])]
+)
+
+
+class TestGeneratorsAgainstFromVars:
+    """generators and inner_minor against the general-constructor reference."""
+
+    @staticmethod
+    def assert_same(got, want, pickled=True):
+        assert len(got) == len(want)
+        for f, g in zip(got, want):
+            assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+            assert (f.plus.exps, f.minus.exps) == (g.plus.exps, g.minus.exps)
+            assert hash(f.plus) == hash(g.plus) and hash(f.minus) == hash(g.minus)
+            if not pickled:  # unpickling runs Monomial.__init__
+                continue
+            assert pickle.dumps(f) == pickle.dumps(g)
+            back = pickle.loads(pickle.dumps(f))
+            assert back == g and (back.plus.exps, back.minus.exps) == (g.plus.exps, g.minus.exps)
+
+    def test_shape_count(self):
+        assert len(DIFFERENTIAL_SHAPES) == 307 + 20 + 3
+
+    def test_generators_match_reference(self):
+        for shape in DIFFERENTIAL_SHAPES:
+            want = tuple(naive_inner_minor(iv) for iv in inner_intervals(shape))
+            self.assert_same(generators(shape), want)
+
+    def test_inner_minor_matches_reference(self):
+        for iv in inner_intervals(_comb(15, 10)):
+            self.assert_same((inner_minor(iv),), (naive_inner_minor(iv),))
+
+    def test_no_general_constructor_call(self, monkeypatch):
+        shapes = [frame_shape(), _comb(4, 3), CellCollection([(0, 0), (300, 300)])]
+        want = [tuple(naive_inner_minor(iv) for iv in inner_intervals(s)) for s in shapes]
+
+        def refuse(self, exps):
+            raise AssertionError("Monomial.__init__ called")
+
+        monkeypatch.setattr(Monomial, "__init__", refuse)
+        for shape, ref in zip(shapes, want):
+            self.assert_same(generators(shape), ref, pickled=False)
+            minors = tuple(inner_minor(iv) for iv in inner_intervals(shape))
+            self.assert_same(minors, ref, pickled=False)

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import polyminor
+from polyminor import cli
 from polyminor.cli import main
+from polyminor.survey import DEFAULT_ROW_BUDGET
 
 FRAME_DOC = """\
 name frame
@@ -27,6 +29,55 @@ S_TETROMINO_DOC = "cell 0 0\ncell 1 0\ncell 1 1\ncell 2 1\n"
 UNIT_DOC = "cell 0 0\n"
 
 HOLE_DOC = "bounding 0 0 3 3\ncell 1 1\n"
+
+# human (non --json) output on the frame, pinned byte for byte
+FRAME_GENS_TEXT = """\
+20 generators
+  x(1,1)*x(0,0) - x(1,0)*x(0,1)
+  x(1,2)*x(0,0) - x(1,0)*x(0,2)
+  x(1,3)*x(0,0) - x(1,0)*x(0,3)
+  x(2,1)*x(0,0) - x(2,0)*x(0,1)
+  x(3,1)*x(0,0) - x(3,0)*x(0,1)
+  x(1,2)*x(0,1) - x(1,1)*x(0,2)
+  x(1,3)*x(0,1) - x(1,1)*x(0,3)
+  x(1,3)*x(0,2) - x(1,2)*x(0,3)
+  x(2,3)*x(0,2) - x(2,2)*x(0,3)
+  x(3,3)*x(0,2) - x(3,2)*x(0,3)
+  x(2,1)*x(1,0) - x(2,0)*x(1,1)
+  x(3,1)*x(1,0) - x(3,0)*x(1,1)
+  x(2,3)*x(1,2) - x(2,2)*x(1,3)
+  x(3,3)*x(1,2) - x(3,2)*x(1,3)
+  x(3,1)*x(2,0) - x(3,0)*x(2,1)
+  x(3,2)*x(2,0) - x(3,0)*x(2,2)
+  x(3,3)*x(2,0) - x(3,0)*x(2,3)
+  x(3,2)*x(2,1) - x(3,1)*x(2,2)
+  x(3,3)*x(2,1) - x(3,1)*x(2,3)
+  x(3,3)*x(2,2) - x(3,2)*x(2,3)
+"""
+
+FRAME_GROEBNER_TEXT = """\
+reduced basis (lex), 20 elements
+  x(1,1)*x(0,0) - x(1,0)*x(0,1)
+  x(1,2)*x(0,0) - x(1,0)*x(0,2)
+  x(1,2)*x(0,1) - x(1,1)*x(0,2)
+  x(1,3)*x(0,0) - x(1,0)*x(0,3)
+  x(1,3)*x(0,1) - x(1,1)*x(0,3)
+  x(1,3)*x(0,2) - x(1,2)*x(0,3)
+  x(2,1)*x(0,0) - x(2,0)*x(0,1)
+  x(2,1)*x(1,0) - x(2,0)*x(1,1)
+  x(2,3)*x(0,2) - x(2,2)*x(0,3)
+  x(2,3)*x(1,2) - x(2,2)*x(1,3)
+  x(3,1)*x(0,0) - x(3,0)*x(0,1)
+  x(3,1)*x(1,0) - x(3,0)*x(1,1)
+  x(3,1)*x(2,0) - x(3,0)*x(2,1)
+  x(3,2)*x(2,0) - x(3,0)*x(2,2)
+  x(3,2)*x(2,1) - x(3,1)*x(2,2)
+  x(3,3)*x(0,2) - x(3,2)*x(0,3)
+  x(3,3)*x(1,2) - x(3,2)*x(1,3)
+  x(3,3)*x(2,0) - x(3,0)*x(2,3)
+  x(3,3)*x(2,1) - x(3,1)*x(2,3)
+  x(3,3)*x(2,2) - x(3,2)*x(2,3)
+"""
 
 
 @pytest.fixture()
@@ -95,6 +146,12 @@ class TestAlgebraCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["count"] == 20
+
+    def test_gens_human_output_on_frame(self, capsys, frame_file):
+        assert run(capsys, "gens", "--input", frame_file) == (0, FRAME_GENS_TEXT, "")
+
+    def test_groebner_human_output_on_frame(self, capsys, frame_file):
+        assert run(capsys, "groebner", "--input", frame_file) == (0, FRAME_GROEBNER_TEXT, "")
 
     def test_quadratic_gb_exit_codes(self, capsys, frame_file, tmp_path):
         code, out, _ = run(capsys, "quadratic-gb", "--input", frame_file)
@@ -219,6 +276,60 @@ class TestEnumerateAndSurvey:
         payload = json.loads(out.strip())
         assert payload["id"] == "1c:0.0"
         assert payload["prime"] is True
+
+
+class TestParserReuse:
+    """One parser per process answers every call as a freshly built one does."""
+
+    @staticmethod
+    def calls(tmp_path, frame_file, unit_file):
+        hole = tmp_path / "hole.poly"
+        hole.write_text(HOLE_DOC)
+        return [
+            ["check-simple", "--input", frame_file],
+            ["check-convex", "--input", frame_file, "--json"],
+            ["gens", "--input", frame_file],
+            ["groebner", "--input", frame_file, "--json"],
+            ["quadratic-gb", "--input", frame_file],
+            ["prime", "--input", frame_file, "--json"],
+            ["localize", "--input", str(hole), "--json"],
+            ["graph-rep", "--input", unit_file, "--json"],
+            ["complement", "--input", str(hole)],
+            ["enumerate", "--count", "3", "--json"],
+            ["survey", "--max-cells", "2", "--json"],
+            ["render", "--input", frame_file],
+        ]
+
+    @staticmethod
+    def interleaved(capsys, calls):
+        """Each call twice, the rounds interleaved, an argparse error after each."""
+        seen = []
+        for _ in range(2):
+            for argv in calls:
+                seen.append(run(capsys, *argv)[:2])
+                with pytest.raises(SystemExit) as exc:
+                    main([argv[0], "--no-such-option"])
+                assert exc.value.code == 2
+                capsys.readouterr()
+        return seen
+
+    def test_outputs_equal_fresh_parsers(self, capsys, monkeypatch, tmp_path, frame_file, unit_file):
+        calls = self.calls(tmp_path, frame_file, unit_file)
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+            fresh = self.interleaved(capsys, calls)
+        cli._build_parser.cache_clear()
+        assert self.interleaved(capsys, calls) == fresh
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_subcommand_defaults_stay_apart(self):
+        parser = cli._build_parser()
+        for _ in range(2):
+            survey = parser.parse_args(["survey", "--max-cells", "1"])
+            prime = parser.parse_args(["prime", "--input", "-"])
+            assert survey.budget_seconds == DEFAULT_ROW_BUDGET
+            assert prime.budget_seconds is None
+            assert not hasattr(survey, "input") and not hasattr(prime, "max_cells")
 
 
 class TestErrors:
