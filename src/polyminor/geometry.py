@@ -115,6 +115,14 @@ class Interval:
         if not componentwise_less(a, b):
             raise ValueError(f"degenerate interval: {a} !< {b} componentwise")
 
+    @classmethod
+    def _of(cls, a: Point, b: Point) -> "Interval":
+        """Trusted constructor: a and b are Points, a nonnegative and a < b."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "lower_left", a)
+        object.__setattr__(self, "upper_right", b)
+        return self
+
     @property
     def anti_diagonal_corners(self) -> tuple[Point, Point]:
         """The two corners ((i, l), (k, j)) completing the corner rectangle."""
@@ -372,7 +380,7 @@ def inner_intervals(collection: CellCollection) -> tuple[Interval, ...]:
         a = Point(ai, aj)
         bj = aj + 1
         while width:
-            found.extend(Interval(a, Point(ai + w, bj)) for w in range(1, width + 1))
+            found.extend(Interval._of(a, Point(ai + w, bj)) for w in range(1, width + 1))
             width = min(width, run.get(Cell(ai, bj), 0))
             bj += 1
     found.sort(key=lambda iv: (iv.lower_left, iv.upper_right))

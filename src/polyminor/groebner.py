@@ -107,15 +107,22 @@ def _shift(x: bytes, lead: bytes, tail: bytes) -> bytes:
 
 
 class _Vectors:
-    """Oriented binomials leads[k] - tails[k]; masks[k] is the support of leads[k]."""
+    """Oriented binomials leads[k] - tails[k]; masks[k] is the support of leads[k].
 
-    __slots__ = ("variables", "index", "key", "leads", "tails", "masks")
+    The index, kept by append: lowest maps each bit b to the ascending
+    indices k whose lead has b as its lowest support bit, that is
+    masks[k] & -masks[k] == b, and lows is the union of those bits.
+    """
+
+    __slots__ = ("variables", "index", "key", "leads", "tails", "masks", "lowest", "lows")
 
     def __init__(self, order: MonomialOrder, variables: Iterable[Var]) -> None:
         self.variables = order.layout(variables)
         self.index = {v: k for k, v in enumerate(self.variables)}
         self.key = order.vector_key
         self.leads, self.tails, self.masks = [], [], []
+        self.lowest: dict[int, list[int]] = {}
+        self.lows = 0
 
     @classmethod
     def of(cls, gens: Iterable[Binomial], order: MonomialOrder) -> _Vectors:
@@ -149,17 +156,39 @@ class _Vectors:
         return (a, b) if self.key(a) > self.key(b) else (b, a)
 
     def append(self, lead: bytes, tail: bytes) -> None:
+        mask = _mask(lead)
+        bit = mask & -mask
+        self.lowest.setdefault(bit, []).append(len(self.leads))
+        self.lows |= bit
         self.leads.append(lead)
         self.tails.append(tail)
-        self.masks.append(_mask(lead))
+        self.masks.append(mask)
 
     def step(self, x: bytes) -> bytes | None:
-        """x rewritten by the first element whose lead divides it, else None."""
-        outside = ~_mask(x)
-        for k, mask in enumerate(self.masks):
-            if not mask & outside and all(map(ge, x, self.leads[k])):
-                return _shift(x, self.leads[k], self.tails[k])
-        return None
+        """x rewritten by the first element whose lead divides it, else None.
+
+        A lead divides x only if its lowest variable occurs in x, so only
+        the lists of lowest under x's support bits can hold a divisor.  Each
+        list is ascending, so its first divisor is its smallest, and the
+        least of those is the divisor a scan of every lead finds first.
+        """
+        masks, leads, lowest = self.masks, self.leads, self.lowest
+        support = _mask(x)
+        outside = ~support
+        first = len(leads)
+        support &= self.lows
+        while support:
+            bit = support & -support
+            support ^= bit
+            for k in lowest[bit]:
+                if k >= first:
+                    break
+                if not masks[k] & outside and all(map(ge, x, leads[k])):
+                    first = k
+                    break
+        if first == len(leads):
+            return None
+        return _shift(x, leads[first], self.tails[first])
 
     def normal_form(self, a: bytes, b: bytes) -> tuple[bytes, bytes] | None:
         """Normal form of a - b (a the larger side) as in reduce; None when zero."""

@@ -13,6 +13,7 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from operator import ge
 from typing import Iterable, Sequence
 
 from polyminor.binomials import (
@@ -42,6 +43,9 @@ from polyminor.groebner import (
     Deadline,
     DegreeCapExceeded,
     GroebnerBasis,
+    _mask,
+    _shift,
+    _Vectors,
     buchberger,
     ideal_membership,
 )
@@ -506,6 +510,18 @@ def oriented(f: Binomial, order: MonomialOrder) -> Binomial:
 
 def sort_key(f: Binomial, order: MonomialOrder) -> tuple:
     return (order_key(order, f.plus), order_key(order, f.minus))
+
+
+def linear_step(self: _Vectors, x: bytes) -> bytes | None:
+    """_Vectors.step as a scan of every lead, without the lowest-variable index.
+
+    x rewritten by the first element whose lead divides it, else None.
+    """
+    outside = ~_mask(x)
+    for k, mask in enumerate(self.masks):
+        if not mask & outside and all(map(ge, x, self.leads[k])):
+            return _shift(x, self.leads[k], self.tails[k])
+    return None
 
 
 def sparse_s_pair(f: Binomial, g: Binomial, order: MonomialOrder = LEX) -> Binomial | None:

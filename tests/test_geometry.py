@@ -1,3 +1,4 @@
+import pickle
 import random
 import time
 
@@ -346,6 +347,29 @@ class TestInnerIntervals:
         ivs = inner_intervals(CellCollection([(0, 0), (3000, 3000)]))
         assert time.monotonic() - start < 1.0
         assert ivs == (Cell(0, 0).as_interval(), Cell(3000, 3000).as_interval())
+
+    def test_trusted_intervals_equal_validated(self):
+        from polyminor.enumeration import enumerate_polyominoes
+
+        shapes = [shape for n in range(1, 7) for shape in enumerate_polyominoes(n)]
+        shapes += [
+            CellCollection(cells)
+            for cells in (ring(40, 40), comb(15, 10), [(0, 0), (300, 300)])
+        ]
+        assert len(shapes) == 307 + 3
+        for shape in shapes:
+            for iv in inner_intervals(shape):
+                checked = Interval(iv.lower_left, iv.upper_right)
+                assert iv == checked and hash(iv) == hash(checked)
+                assert repr(iv) == repr(checked)
+                assert pickle.dumps(iv) == pickle.dumps(checked)
+                assert pickle.loads(pickle.dumps(iv)) == checked
+
+    def test_public_constructor_still_checks(self):
+        with pytest.raises(ValueError, match="degenerate"):
+            Interval(Point(1, 1), Point(1, 2))
+        with pytest.raises(ValueError, match="negative"):
+            Interval(Point(-1, 0), Point(1, 1))
 
     @given(small_polyominoes())
     @settings(max_examples=40, deadline=None)

@@ -1,5 +1,8 @@
+import hashlib
+import pickle
 import random
 import time
+from operator import ge
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +19,10 @@ from polyminor.binomials import (
     inner_minor,
     point_var,
 )
-from polyminor.geometry import Interval, Point, Polyomino, complement
+from polyminor.geometry import CellCollection, Interval, Point, Polyomino, complement
+from polyminor.graphrep import search_labeling
 from polyminor.localization import construct_p_prime
+from polyminor.toric import is_prime, revlex_basis
 import polyminor.groebner as groebner
 from polyminor.groebner import (
     BudgetExceeded,
@@ -36,6 +41,7 @@ import oracles
 from oracles import (
     REFERENCE_SHAPES,
     frame_shape,
+    linear_step,
     localization_family,
     naive_fixed_polyominoes,
     rewrite_monomial,
@@ -492,3 +498,130 @@ class TestGroebnerBasisContainer:
         vectors = gb._vectors
         assert vectors.binomial(*vectors.orient(*vectors.pair(flipped))) == f
         assert f in set(gb)
+
+
+def ring_cells(width, height):
+    return [
+        (i, j)
+        for i in range(width)
+        for j in range(height)
+        if not (0 < i < width - 1 and 0 < j < height - 1)
+    ]
+
+
+def staircase_cells(steps):
+    return sorted({(s + d, s) for s in range(steps) for d in range(2)})
+
+
+class TestLowestVariableIndex:
+    """step through the lowest-variable index against the scan of every lead."""
+
+    def test_random_against_linear_scan(self):
+        rng = random.Random(27)
+        calls = rival_divisors = later_bucket = 0
+        for trial in range(1000):
+            variables = [x(0, k) for k in range(rng.randint(2, 7))]
+            order = LEX if trial % 2 else GradedRevlex(variables)
+            vectors = groebner._Vectors(order, variables)
+            n = len(variables)
+            # a few lowest positions, so that leads share them
+            lows = rng.sample(range(n), rng.randint(1, min(n, 3)))
+
+            def lead():
+                low = rng.choice(lows)
+                v = [0] * low + [rng.randint(1, 3)]
+                v += [rng.choice((0, 0, 1, 2, 3)) for _ in range(low + 1, n)]
+                return bytes(v)
+
+            def monomial():
+                return bytes(rng.choice((0, 0, 1, 2)) for _ in range(n))
+
+            def probe():
+                if vectors.leads and rng.random() < 0.7:
+                    base = rng.choice(vectors.leads)
+                    return bytes(e + rng.randint(0, 2) for e in base)
+                return monomial()
+
+            for _ in range(rng.randint(1, 4)):
+                # appends after lookups, then tails rewritten in place
+                for _ in range(rng.randint(1, 6)):
+                    a, b = lead(), monomial()
+                    if a != b:
+                        vectors.append(*vectors.orient(a, b))
+                if vectors.tails and rng.random() < 0.5:
+                    k = rng.randrange(len(vectors.tails))
+                    vectors.tails[k] = monomial()
+                for _ in range(rng.randint(1, 6)):
+                    y = probe()
+                    calls += 1
+                    assert vectors.step(y) == linear_step(vectors, y), (trial, y)
+                    divisors = [
+                        k for k, m in enumerate(vectors.leads) if all(map(ge, y, m))
+                    ]
+                    if divisors:
+                        first, last = (
+                            groebner._shift(y, vectors.leads[k], vectors.tails[k])
+                            for k in (divisors[0], divisors[-1])
+                        )
+                        rival_divisors += first != last
+                        # the first divisor is not in the list of y's lowest indexed bit
+                        support = groebner._mask(y) & vectors.lows
+                        mask = vectors.masks[divisors[0]]
+                        later_bucket += mask & -mask != support & -support
+        # the cases where a wrong choice of divisor shows
+        assert calls > 8000
+        assert rival_divisors > 4000
+        assert later_bucket > 2000
+
+    def test_outputs_pinned(self):
+        """Bases, counters and certificates as the scan of every lead gave them."""
+        stair = staircase_cells(12)
+        top = max(i for i, _ in stair)
+        shapes = [complement(bounding, inner) for bounding, inner in localization_family()]
+        shapes += [
+            CellCollection(cells)
+            for cells in (
+                ring_cells(8, 8),
+                stair,
+                [(top - i, j) for i, j in stair],
+                [(i, j) for i in range(5) for j in range(5)],
+            )
+        ]
+        digest = hashlib.sha256()
+        for shape in shapes:
+            gens = generators(shape)
+            basis = buchberger(gens)
+            box = shape.bounding_interval()
+            corner = point_var(Point(box.lower_left.i, box.upper_right.j))
+            certificate = is_prime(gens)
+            for part in (
+                basis.elements,
+                basis.stats,
+                revlex_basis(gens, (corner,)).elements,
+                certificate,
+                certificate.rank,
+            ):
+                digest.update(repr(part).encode())
+        assert digest.hexdigest() == (
+            "cf9723e4d12f9a5511fecf54112a2fdb695d68ad31c3ad25b3b6a0de1cbeb0d0"
+        )
+
+
+class TestPickle:
+    def test_lex_basis_round_trip(self):
+        frame = frame_shape()
+        box = Polyomino([(i, j) for i in range(4) for j in range(4) if (i, j) != (1, 1)])
+        verdict = search_labeling(frame)
+        witnesses = [e.witness for e in verdict.trace if e.kind == "reject_labeling"]
+        assert witnesses
+        probes = [*generators(frame), *generators(box), *witnesses]
+        # members: each shape's own generators, and the frame's 20 in the box
+        expected = {"frame": 20 + 20, "box": 20 + 64}
+        for name, shape in (("frame", frame), ("box", box)):
+            basis = buchberger(generators(shape), LEX)
+            copy = pickle.loads(pickle.dumps(basis))
+            assert copy == basis and copy.stats == basis.stats
+            answers = [ideal_membership(f, basis) for f in probes]
+            assert [ideal_membership(f, copy) for f in probes] == answers
+            assert sum(answers) == expected[name]
+            assert not any(ideal_membership(w, copy) for w in witnesses)
