@@ -7,7 +7,7 @@ level, and all results are independent of the coefficient field.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .geometry import CellCollection, Interval, Point, inner_intervals
 
@@ -173,8 +173,13 @@ class Monomial:
             return "1"
         parts = []
         for v, e in self.exps:
-            parts.append(f"{v!r}" if e == 1 else f"{v!r}^{e}")
+            if (text := _VAR_TEXT.get(v)) is None:
+                text = _VAR_TEXT[v] = repr(v)
+            parts.append(text if e == 1 else f"{text}^{e}")
         return "*".join(parts)
+
+
+_VAR_TEXT: dict[Var, str] = {}  # repr of each variable, filled on first use
 
 
 ONE = Monomial(())
@@ -184,10 +189,12 @@ class MonomialOrder:
     """Lexicographic monomial order on the variable order itself.
 
     Auxiliary variables rank above point variables and point variables
-    compare by (i, j).  An order is its byte layout plus vector_key: laid
-    out by layout, the exponent vectors of groebner compare under the
-    order exactly as their vector_key values do.  A subclass defines
-    another order by overriding both.
+    compare by (i, j).  An order is its layout plus vector_key: groebner
+    packs an exponent vector into an int x, one lane per variable of the
+    layout, the first variable's lane the most significant, with degree
+    x % modulus, and the vectors compare under the order exactly as
+    their vector_key(modulus) keys do.  A subclass defines another order
+    by overriding both.
     """
 
     __slots__ = ("tag",)
@@ -202,18 +209,19 @@ class MonomialOrder:
             raise AttributeError("MonomialOrder is immutable")
 
     def layout(self, variables: Iterable[Var]) -> tuple[Var, ...]:
-        """The variable of each byte of groebner's exponent vectors."""
+        """The variable of each lane of groebner's exponent vectors, first lane first."""
         return tuple(sorted(variables, reverse=True))
 
-    # laid out descending, the vectors compare as LEX; bytes(b) is b itself
-    vector_key = staticmethod(bytes)
+    @staticmethod
+    def vector_key(modulus: int) -> Callable[[int], object]:
+        # laid out descending, the vectors compare as LEX; int(x) is x itself
+        return int
 
     def __repr__(self) -> str:
         return f"MonomialOrder({self.tag})"
 
 
 LEX = MonomialOrder("lex")
-_COMPLEMENT = bytes(range(255, -1, -1))  # byte e to 255 - e, ordered as -e
 
 
 class GradedRevlex(MonomialOrder):
@@ -238,8 +246,10 @@ class GradedRevlex(MonomialOrder):
         extra = set(variables).difference(self.variables)
         return self.variables[::-1] + tuple(sorted(extra))
 
-    # degree, then the exponents from the last variable back, complemented
-    vector_key = staticmethod(lambda b: (sum(b), b.translate(_COMPLEMENT)))
+    @staticmethod
+    def vector_key(modulus: int) -> Callable[[int], object]:
+        # degree, then the exponents from the last variable on, negated
+        return lambda x: (x % modulus, -x)
 
 
 class Binomial:
@@ -247,7 +257,7 @@ class Binomial:
 
     A Binomial does not know which side is the initial term until it has
     been oriented under an order: make stores the LEX-larger side in
-    `plus`, and groebner orients under any order on its byte vectors.
+    `plus`, and groebner orients under any order on its packed vectors.
     """
 
     __slots__ = ("plus", "minus", "_hash")

@@ -159,8 +159,9 @@ class GraphLabeling:
 def bipartite_grid_labeling(collection: CellCollection) -> GraphLabeling:
     """The row/column labeling: point (i, j) gets the edge {col_i, row_j}.
 
-    Always injective and loop-free; for simple collections it is the
-    canonical witness of representability.
+    Always injective and loop-free, but no witness of representability
+    even for simple collections: its kernel ideal differs from the minor
+    ideal on the four U pentominoes, for one.
     """
     vars_ = sorted(point_var(p) for p in collection.vertex_set)
     cols = sorted({v.key[0] for v in vars_})

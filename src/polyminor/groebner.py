@@ -2,9 +2,11 @@
 
 S-polynomials and normal forms of such differences are again differences
 of monomials (possibly with one side equal to 1), so the whole algorithm
-runs on pairs of byte exponent vectors, one byte per variable.  The
-reduced basis is unique for the given order, independent of generator
-ordering, and valid over every coefficient field at once.
+runs on pairs of exponent vectors, each packed into one int with a lane
+of bits per variable: divisibility, lcm and the rewriting shift are a few
+whole-int operations each (see _Vectors).  The reduced basis is unique
+for the given order, independent of generator ordering, and valid over
+every coefficient field at once.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from operator import add, ge, sub
 from typing import Iterable, Sequence
 
 from .binomials import LEX, Binomial, Monomial, MonomialOrder, Var
@@ -91,35 +92,39 @@ class GroebnerBasis:
 
 
 EXPONENT_LIMIT = 255
-_SUPPORT = bytes([0]) + bytes([1]) * 255  # byte e to 1 when e > 0
-
-
-def _mask(b: bytes) -> int:
-    return int.from_bytes(b.translate(_SUPPORT), "little")
-
-
-def _shift(x: bytes, lead: bytes, tail: bytes) -> bytes:
-    """x / lead * tail, where lead divides x."""
-    try:
-        return bytes(map(add, map(sub, x, lead), tail))
-    except ValueError:
-        raise ValueError(f"an exponent would exceed {EXPONENT_LIMIT}") from None
 
 
 class _Vectors:
     """Oriented binomials leads[k] - tails[k]; masks[k] is the support of leads[k].
 
-    The index, kept by append: lowest maps each bit b to the ascending
-    indices k whose lead has b as its lowest support bit, that is
-    masks[k] & -masks[k] == b, and lows is the union of those bits.
+    A vector is an int with one lane of `lane` bits per variable of the
+    layout, the first variable's lane the most significant.  A lane holds
+    its variable's exponent, at most EXPONENT_LIMIT, below its top bit, the
+    guard, which is clear in every stored vector.  The kernels set the
+    guards, so that no borrow or carry crosses a lane, and the lane is
+    wide enough that x % modulus, the lane sum, is the degree.  A mask is
+    the set of guards of the nonzero lanes.
+
+    The index, kept by append: lowest maps each guard bit b to the
+    ascending indices k whose lead has b as its lowest support bit, that
+    is masks[k] & -masks[k] == b, and lows is the union of those bits.
     """
 
-    __slots__ = ("variables", "index", "key", "leads", "tails", "masks", "lowest", "lows")
+    __slots__ = ("variables", "units", "lane", "modulus", "guard", "fill", "high",
+                 "key", "leads", "tails", "masks", "lowest", "lows")
 
     def __init__(self, order: MonomialOrder, variables: Iterable[Var]) -> None:
         self.variables = order.layout(variables)
-        self.index = {v: k for k, v in enumerate(self.variables)}
-        self.key = order.vector_key
+        n = len(self.variables)
+        # a guard above EXPONENT_LIMIT, and the largest degree below the modulus
+        self.lane = lane = max(9, (EXPONENT_LIMIT * n + 1).bit_length())
+        self.units = {v: 1 << lane * (n - 1 - k) for k, v in enumerate(self.variables)}
+        self.modulus = (1 << lane) - 1
+        ones = ((1 << lane * n) - 1) // self.modulus  # a 1 in every lane
+        self.guard = ones << lane - 1
+        self.fill = self.guard - ones  # every bit below the guard
+        self.high = ones * (self.modulus - EXPONENT_LIMIT)  # every bit above the limit
+        self.key = order.vector_key(self.modulus)
         self.leads, self.tails, self.masks = [], [], []
         self.lowest: dict[int, list[int]] = {}
         self.lows = 0
@@ -132,31 +137,67 @@ class _Vectors:
         vectors.load(map(vectors.pair, gens))
         return vectors
 
-    def load(self, pairs: Iterable[tuple[bytes, bytes]]) -> None:
+    def load(self, pairs: Iterable[tuple[int, int]]) -> None:
         """Append the pairs oriented, without repeats, sorted by the order."""
         oriented = {self.orient(a, b) for a, b in pairs}
         for a, b in sorted(oriented, key=lambda ab: tuple(map(self.key, ab))):
             self.append(a, b)
 
-    def encode(self, m: Monomial) -> bytes:
-        vector = bytearray(len(self.variables))
-        for v, e in m.exps:
+    def encode(self, exps: Iterable[tuple[Var, int]]) -> int:
+        """The vector of the (variable, exponent) pairs, variables distinct."""
+        x = 0
+        for v, e in exps:
             if e > EXPONENT_LIMIT:
                 raise ValueError(f"exponent {e} of {v!r} exceeds {EXPONENT_LIMIT}")
-            vector[self.index[v]] = e
-        return bytes(vector)
+            x += e * self.units[v]
+        return x
 
-    def pair(self, f: Binomial) -> tuple[bytes, bytes]:
-        return self.encode(f.plus), self.encode(f.minus)
+    def exponents(self, x: int) -> list[tuple[Var, int]]:
+        """The (variable, exponent) pairs of x's nonzero lanes, in layout order."""
+        exps = []
+        support = self.support(x)
+        while support:
+            top = support.bit_length() - 1  # the guard of the first nonzero lane
+            support ^= 1 << top
+            k = len(self.variables) - 1 - top // self.lane
+            exps.append((self.variables[k], (x >> top - self.lane + 1) & EXPONENT_LIMIT))
+        return exps
 
-    def binomial(self, a: bytes, b: bytes) -> Binomial:
-        return Binomial(Monomial(zip(self.variables, a)), Monomial(zip(self.variables, b)))
+    def pair(self, f: Binomial) -> tuple[int, int]:
+        return self.encode(f.plus.exps), self.encode(f.minus.exps)
 
-    def orient(self, a: bytes, b: bytes) -> tuple[bytes, bytes]:
+    def binomial(self, a: int, b: int) -> Binomial:
+        return Binomial(Monomial(self.exponents(a)), Monomial(self.exponents(b)))
+
+    def orient(self, a: int, b: int) -> tuple[int, int]:
         return (a, b) if self.key(a) > self.key(b) else (b, a)
 
-    def append(self, lead: bytes, tail: bytes) -> None:
-        mask = _mask(lead)
+    def degree(self, x: int) -> int:
+        return x % self.modulus
+
+    def lane_bits(self, v: Var) -> int:
+        """Every bit of v's lane, its guard included."""
+        return self.units[v] * self.modulus
+
+    def support(self, x: int) -> int:
+        """The guards of x's nonzero lanes: a lane's fill carries into its guard."""
+        return (x + self.fill) & self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        """The lane-wise max: b plus a - b on the lanes whose guard survives a - b."""
+        d = (a | self.guard) - b
+        kept = d & self.guard
+        return b + (d & (kept - (kept >> self.lane - 1)))
+
+    def shift(self, x: int, lead: int, tail: int) -> int:
+        """x / lead * tail, where lead divides x; a lane reaches 2 * 255 at most."""
+        r = x - lead + tail
+        if r & self.high:
+            raise ValueError(f"an exponent would exceed {EXPONENT_LIMIT}")
+        return r
+
+    def append(self, lead: int, tail: int) -> None:
+        mask = self.support(lead)
         bit = mask & -mask
         self.lowest.setdefault(bit, []).append(len(self.leads))
         self.lows |= bit
@@ -164,17 +205,18 @@ class _Vectors:
         self.tails.append(tail)
         self.masks.append(mask)
 
-    def step(self, x: bytes) -> bytes | None:
+    def step(self, x: int) -> int | None:
         """x rewritten by the first element whose lead divides it, else None.
 
         A lead divides x only if its lowest variable occurs in x, so only
         the lists of lowest under x's support bits can hold a divisor.  Each
         list is ascending, so its first divisor is its smallest, and the
         least of those is the divisor a scan of every lead finds first.
+        A lead divides x when every guard survives (x | guard) - lead.
         """
-        masks, leads, lowest = self.masks, self.leads, self.lowest
-        support = _mask(x)
-        outside = ~support
+        leads, lowest, guard = self.leads, self.lowest, self.guard
+        support = self.support(x)
+        x_guarded = x | guard
         first = len(leads)
         support &= self.lows
         while support:
@@ -183,14 +225,14 @@ class _Vectors:
             for k in lowest[bit]:
                 if k >= first:
                     break
-                if not masks[k] & outside and all(map(ge, x, leads[k])):
+                if (x_guarded - leads[k]) & guard == guard:
                     first = k
                     break
         if first == len(leads):
             return None
-        return _shift(x, leads[first], self.tails[first])
+        return self.shift(x, leads[first], self.tails[first])
 
-    def normal_form(self, a: bytes, b: bytes) -> tuple[bytes, bytes] | None:
+    def normal_form(self, a: int, b: int) -> tuple[int, int] | None:
         """Normal form of a - b (a the larger side) as in reduce; None when zero."""
         while True:
             if (x := self.step(a)) is not None:
@@ -203,10 +245,10 @@ class _Vectors:
                 return None
             a, b = self.orient(a, b)
 
-    def s_pair(self, i: int, j: int, lcm: bytes) -> tuple[bytes, bytes] | None:
+    def s_pair(self, i: int, j: int, lcm: int) -> tuple[int, int] | None:
         """Oriented S-polynomial of elements i and j, or None when it vanishes."""
-        left = _shift(lcm, self.leads[j], self.tails[j])
-        right = _shift(lcm, self.leads[i], self.tails[i])
+        left = self.shift(lcm, self.leads[j], self.tails[j])
+        right = self.shift(lcm, self.leads[i], self.tails[i])
         return None if left == right else self.orient(left, right)
 
 
@@ -215,7 +257,7 @@ def s_pair(f: Binomial, g: Binomial, order: MonomialOrder = LEX) -> Binomial | N
     vectors = _Vectors(order, f.vars() | g.vars())
     for h in (f, g):
         vectors.append(*vectors.orient(*vectors.pair(h)))
-    s = vectors.s_pair(0, 1, bytes(map(max, *vectors.leads)))
+    s = vectors.s_pair(0, 1, vectors.lcm(*vectors.leads))
     return None if s is None else vectors.binomial(*s)
 
 
@@ -254,20 +296,22 @@ def _autoreduce(vectors: _Vectors, order: MonomialOrder, deadline: Deadline) -> 
     return reduced
 
 
-def _lead_count(leads: Sequence[bytes], d: int) -> int | None:
-    """The number of degree-d monomials some lead divides, when easily known.
+def _lead_count(vectors: _Vectors, d: int) -> int | None:
+    """The number of degree-d monomials some lead of vectors divides, when easily known.
 
     Counted only when every lead has degree at least d - 1: those
     monomials are then the leads of degree d and each degree d - 1 lead
-    times each variable.  Otherwise None.
+    times each variable, that is, plus each variable's unit, the 1 of its
+    lane; a lane has room above EXPONENT_LIMIT, so nothing carries.
+    Otherwise None.
     """
-    degrees = list(map(sum, leads))
-    if min(degrees, default=0) < d - 1 or d > EXPONENT_LIMIT:
+    leads = vectors.leads
+    degrees = list(map(vectors.degree, leads))
+    if min(degrees, default=0) < d - 1:
         return None
-    # as little-endian integers, adding 1 << 8k raises byte k, which is below d
-    monomials = {int.from_bytes(lead, "little") for lead, e in zip(leads, degrees) if e == d}
-    below = [int.from_bytes(lead, "little") for lead, e in zip(leads, degrees) if e == d - 1]
-    units = [1 << 8 * k for k in range(len(leads[0]))]
+    monomials = {lead for lead, e in zip(leads, degrees) if e == d}
+    below = [lead for lead, e in zip(leads, degrees) if e == d - 1]
+    units = vectors.units.values()
     monomials.update(x + unit for x in below for unit in units)
     return len(monomials)
 
@@ -288,9 +332,10 @@ def _complete(
     dropped: the elements added, and their order, do not change.
     """
     key, leads, tails, masks = vectors.key, vectors.leads, vectors.tails, vectors.masks
+    lcm_of, degree_of = vectors.lcm, vectors.degree
     # per element: its sort key, shared by its pairs
     sort_keys = [(key(a), key(b)) for a, b in zip(leads, tails)]
-    buckets: dict[int, list[tuple[int, int, bytes]]] = {}
+    buckets: dict[int, list[tuple[int, int, int]]] = {}
     heap: list[tuple] = []
     opened = formed = 0  # pairs of degree <= opened go straight to the heap
     missing = None
@@ -299,8 +344,8 @@ def _complete(
         lead, mask, j_key = leads[j], masks[j], sort_keys[j]
         for i in range(j):
             if masks[i] & mask:
-                lcm = bytes(map(max, leads[i], lead))
-                degree = sum(lcm)
+                lcm = lcm_of(leads[i], lead)
+                degree = degree_of(lcm)
                 if degree > opened:
                     buckets.setdefault(degree, []).append((i, j, lcm))
                 else:
@@ -316,7 +361,7 @@ def _complete(
             opened = min(buckets)
             pairs = buckets.pop(opened)
             goal = target.get(opened) if target else None
-            have = None if goal is None else _lead_count(leads, opened)
+            have = None if goal is None else _lead_count(vectors, opened)
             missing = None if have is None else goal - have
             if missing == 0:
                 continue
@@ -331,7 +376,7 @@ def _complete(
         h = None if s is None else vectors.normal_form(*s)
         if h is None:
             continue
-        if max(map(sum, h)) > degree_cap:
+        if max(map(degree_of, h)) > degree_cap:
             raise DegreeCapExceeded(vectors.binomial(*h), degree_cap)
         vectors.append(*h)
         sort_keys.append((key(h[0]), key(h[1])))
@@ -357,8 +402,9 @@ def buchberger(
     are never queued, and the final basis is auto-reduced, so the result
     is a deterministic function of the generated ideal and the order.
 
-    Monomials are byte vectors, so no exponent may exceed 255
-    (EXPONENT_LIMIT): a larger one, given or formed, raises ValueError.
+    An exponent fills at most 8 bits of its lane, so no exponent may
+    exceed 255 (EXPONENT_LIMIT): a larger one, given or formed, raises
+    ValueError.
     stats counts S-pairs formed (one per queued pair), zero reductions,
     elements added, peak size and top degree.
     """
@@ -368,7 +414,8 @@ def buchberger(
     formed = _complete(vectors, degree_cap, deadline)
     leads, tails = vectors.leads, vectors.tails
     stats = dict(s_pairs=formed, elements_added=len(leads) - given,
-                 peak_size=len(leads), max_degree=max(map(sum, leads + tails), default=0))
+                 peak_size=len(leads),
+                 max_degree=max(map(vectors.degree, leads + tails), default=0))
     stats["zero_reductions"] = formed - stats["elements_added"]
     reduced = _autoreduce(vectors, order, deadline)
     elements = tuple(map(reduced.binomial, reduced.leads, reduced.tails))
@@ -428,7 +475,7 @@ def ideal_membership(f: Binomial, basis: GroebnerBasis) -> bool:
     may pass binomials normalized under any order.
     """
     vectors = basis._vectors
-    if vectors is None or not f.vars() <= vectors.index.keys():
+    if vectors is None or not f.vars() <= vectors.units.keys():
         return reduce(f, basis.elements, basis.order) is None
     return vectors.normal_form(*vectors.orient(*vectors.pair(f))) is None
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import itemgetter, or_
+from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .binomials import LEX, Binomial, GradedRevlex, Monomial, Var
@@ -242,41 +242,41 @@ def _saturation(
     Saturations commute, so certified variables stay nonzerodivisors,
     and v is one after its saturation.
 
-    The loop runs on byte vectors: each order's layout permutes the
-    current generators' layout, with v at byte 0.  The first basis of
-    each ideal gives the counts that stop the later ones (see the module
-    docstring).
+    The loop runs on packed vectors, each order's layout a permutation of
+    the current generators' lanes.  The variables leading are those whose
+    lanes meet the leads' masks, and dividing by the power of v in the
+    lead clears v's lane of the lead and takes as much from the tail's.
+    The first basis of each ideal gives the counts that stop the later
+    ones (see the module docstring).
     """
     _check_homogeneous(gens)
     deadline = deadline or Deadline.unlimited()
     variables = sorted({v for g in gens for v in g.vars()}, reverse=True)
     pending = list(variables)
-    # the generators' layout; there are at least two variables, since a
-    # homogeneous binomial has two, so permute gets a tuple, never an int
-    source = _Vectors(GradedRevlex(variables), variables)
+    source = _Vectors(GradedRevlex(variables), variables)  # the generators' layout
     current = [source.pair(g) for g in gens]
     target: dict[int, int | None] | None = None
     equal = True
     while pending:
         order = GradedRevlex(sorted(set(variables) - set(pending), reverse=True) + pending)
         vectors = _Vectors(order, variables)
-        position = {v: k for k, v in enumerate(source.variables)}
-        permute = itemgetter(*(position[v] for v in vectors.variables))
-        vectors.load((bytes(permute(a)), bytes(permute(b))) for a, b in current)
+        relaid = vectors.encode
+        vectors.load(
+            (relaid(source.exponents(a)), relaid(source.exponents(b))) for a, b in current
+        )
         _complete(vectors, degree_cap, deadline, target)
         basis = _autoreduce(vectors, order, deadline)
-        leading = reduce(or_, basis.masks).to_bytes(len(variables), "little")
-        pending.pop()
-        if leading[0]:
+        leading = reduce(or_, basis.masks)
+        lane = basis.lane_bits(pending.pop())  # v's
+        if leading & lane:
             equal, target, source = False, None, basis
             current = [
-                (b"\0" + a[1:], bytes((b[0] - a[0],)) + b[1:])
-                for a, b in zip(basis.leads, basis.tails)
+                (a - (a & lane), b - (a & lane)) for a, b in zip(basis.leads, basis.tails)
             ]
         elif target is None:
-            low = min(map(sum, basis.leads))
-            target = {d: _lead_count(basis.leads, d) for d in (low, low + 1)}
-        pending = [w for w in pending if leading[basis.index[w]]]
+            low = min(map(basis.degree, basis.leads))
+            target = {d: _lead_count(basis, d) for d in (low, low + 1)}
+        pending = [w for w in pending if leading & basis.lane_bits(w)]
     if equal:
         return gens, True
     return [source.binomial(a, b) for a, b in current], False

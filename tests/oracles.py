@@ -13,7 +13,7 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from operator import ge
+from operator import add, ge, sub
 from typing import Iterable, Sequence
 
 from polyminor.binomials import (
@@ -43,8 +43,6 @@ from polyminor.groebner import (
     Deadline,
     DegreeCapExceeded,
     GroebnerBasis,
-    _mask,
-    _shift,
     _Vectors,
     buchberger,
     ideal_membership,
@@ -512,15 +510,65 @@ def sort_key(f: Binomial, order: MonomialOrder) -> tuple:
     return (order_key(order, f.plus), order_key(order, f.minus))
 
 
-def linear_step(self: _Vectors, x: bytes) -> bytes | None:
-    """_Vectors.step as a scan of every lead, without the lowest-variable index.
+# The byte-vector kernels the packed ones replaced: a vector is one byte per
+# variable of the layout, first variable first, and an order's byte key is
+# bytes itself for LEX, and the degree, then the complemented bytes, for
+# GradedRevlex.
+
+_SUPPORT = bytes([0]) + bytes([1]) * 255  # byte e to 1 when e > 0
+_COMPLEMENT = bytes(range(255, -1, -1))  # byte e to 255 - e, ordered as -e
+
+
+def to_bytes(vectors: _Vectors, x: int) -> bytes:
+    """The packed vector x as one byte per lane; raises past 255."""
+    lane, n = vectors.lane, len(vectors.variables)
+    return bytes((x >> lane * (n - 1 - k)) & ((1 << lane) - 1) for k in range(n))
+
+
+def from_bytes(vectors: _Vectors, b: bytes) -> int:
+    """The byte vector b packed into vectors' lanes."""
+    lane, n = vectors.lane, len(vectors.variables)
+    return sum(e << lane * (n - 1 - k) for k, e in enumerate(b))
+
+
+def byte_support(b: bytes) -> bytes:
+    return b.translate(_SUPPORT)
+
+
+def byte_divides(lead: bytes, x: bytes) -> bool:
+    return all(map(ge, x, lead))
+
+
+def byte_lcm(a: bytes, b: bytes) -> bytes:
+    return bytes(map(max, a, b))
+
+
+def byte_shift(x: bytes, lead: bytes, tail: bytes) -> bytes:
+    """x / lead * tail, where lead divides x; ValueError past 255."""
+    return bytes(map(add, map(sub, x, lead), tail))
+
+
+def byte_key(order: MonomialOrder):
+    if isinstance(order, GradedRevlex):
+        return lambda b: (sum(b), b.translate(_COMPLEMENT))
+    return bytes
+
+
+def byte_orient(order: MonomialOrder, a: bytes, b: bytes) -> tuple[bytes, bytes]:
+    key = byte_key(order)
+    return (a, b) if key(a) > key(b) else (b, a)
+
+
+def linear_step(self: _Vectors, x: int) -> int | None:
+    """_Vectors.step as a scan of every lead through the byte kernels.
 
     x rewritten by the first element whose lead divides it, else None.
     """
-    outside = ~_mask(x)
-    for k, mask in enumerate(self.masks):
-        if not mask & outside and all(map(ge, x, self.leads[k])):
-            return _shift(x, self.leads[k], self.tails[k])
+    y = to_bytes(self, x)
+    for lead, tail in zip(self.leads, self.tails):
+        lead = to_bytes(self, lead)
+        if byte_divides(lead, y):
+            return from_bytes(self, byte_shift(y, lead, to_bytes(self, tail)))
     return None
 
 

@@ -2,7 +2,6 @@ import hashlib
 import pickle
 import random
 import time
-from operator import ge
 
 import pytest
 from hypothesis import given, settings
@@ -263,7 +262,7 @@ class TestBuchberger:
         assert tuple(a) == tuple(b)
         # sorted by the order's key; saturate and toric_ideal_of_map rely on it
         vectors = groebner._Vectors(LEX, {v for g in a for v in g.vars()})
-        keys = [tuple(map(LEX.vector_key, vectors.pair(g))) for g in a]
+        keys = [tuple(map(vectors.key, vectors.pair(g))) for g in a]
         assert keys == sorted(keys)
 
 
@@ -397,6 +396,97 @@ class TestExponentLimit:
             buchberger([rule, Binomial(Monomial(((y, 2),)), mono(x(0, 1)))], degree_cap=1000)
 
 
+class TestPackedKernels:
+    """The packed-int kernels against the byte kernels they replaced."""
+
+    EXPONENTS = (0, 1, 2, 127, 128, 254, 255)
+
+    def vectors(self, rng, n):
+        variables = [x(0, k) for k in range(n)]
+        order = LEX if rng.random() < 0.5 else GradedRevlex(rng.sample(variables, n))
+        return order, groebner._Vectors(order, variables)
+
+    def test_against_byte_kernels(self):
+        rng = random.Random(28)
+        divided = raised = 0
+        for trial in range(400):
+            n = rng.randint(1, 300) if trial % 4 == 0 else rng.randint(1, 12)
+            order, vectors = self.vectors(rng, n)
+
+            def packed(exponents):
+                return oracles.from_bytes(vectors, bytes(exponents))
+
+            a, b = (bytes(rng.choice(self.EXPONENTS) for _ in range(n)) for _ in "ab")
+            if rng.random() < 0.5:
+                b = bytes(rng.choice([e for e in self.EXPONENTS if e <= ea]) for ea in a)
+
+            def tail_exponent(ea, eb):
+                # mostly within 255 after the shift a / b * tail, sometimes past it
+                if rng.random() < 0.1:
+                    return rng.choice(self.EXPONENTS)
+                return rng.choice([e for e in self.EXPONENTS if e <= 255 - ea + eb])
+
+            tail = bytes(map(tail_exponent, a, b))
+            pa, pb, pt = packed(a), packed(b), packed(tail)
+            assert oracles.to_bytes(vectors, pa) == a
+            assert vectors.degree(pa) == sum(a)
+            assert vectors.support(pa) == packed(oracles.byte_support(a)) << vectors.lane - 1
+            assert vectors.lcm(pa, pb) == packed(oracles.byte_lcm(a, b))
+            assert vectors.lcm(pb, pa) == packed(oracles.byte_lcm(a, b))
+            if a != b:
+                want = oracles.byte_orient(order, a, b)
+                assert vectors.orient(pa, pb) == tuple(map(packed, want))
+                assert vectors.key(pa) != vectors.key(pb)
+            # divides, through step on the one element b - tail
+            one = groebner._Vectors(order, vectors.variables)
+            one.append(pb, pt)
+            if not oracles.byte_divides(b, a):
+                assert one.step(pa) is None
+                continue
+            divided += 1
+            try:
+                want = packed(oracles.byte_shift(a, b, tail))
+            except ValueError:
+                raised += 1
+                with pytest.raises(ValueError, match="255"):
+                    vectors.shift(pa, pb, pt)
+                with pytest.raises(ValueError, match="255"):
+                    one.step(pa)
+            else:
+                assert vectors.shift(pa, pb, pt) == want
+                assert one.step(pa) == (None if b == bytes(n) else want)
+        assert divided > 150 and raised > 20
+
+    @pytest.mark.parametrize("n", [1, 2, 257, 258, 300])
+    def test_limits(self, n):
+        rng = random.Random(n)
+        for order, vectors in (self.vectors(rng, n) for _ in range(4)):
+            full = oracles.from_bytes(vectors, bytes([255]) * n)
+            assert vectors.degree(full) == 255 * n
+            assert vectors.support(full) == vectors.guard
+            unit = vectors.units[vectors.variables[-1]]
+            almost = full - unit  # 254 in the last lane
+            assert vectors.shift(almost, 0, unit) == full
+            with pytest.raises(ValueError, match="255"):
+                vectors.shift(full, 0, unit)  # 256
+            with pytest.raises(ValueError, match="255"):
+                vectors.encode([(vectors.variables[0], 256)])
+
+    def test_degree_past_a_16_bit_lane(self):
+        # 300 exponents of 255 have degree 76500; taken modulo 2**16 - 1 it
+        # would be 10965, and bottom below it would lead under GradedRevlex
+        variables = [x(0, k) for k in range(300)]
+        top = Monomial((v, 255) for v in variables)
+        bottom = Monomial((v, 255) for v in variables[:100])
+        f = Binomial(top, bottom)
+        for order in (LEX, GradedRevlex(variables)):
+            got = buchberger([Binomial(bottom, top)], order, degree_cap=10**5)
+            want = sparse_buchberger([Binomial(bottom, top)], order, degree_cap=10**5)
+            assert got.elements == want.elements == (f,)
+            assert got.stats["max_degree"] == 76500
+            assert ideal_membership(Binomial(bottom, top), got)
+
+
 class TestQuadraticCondition:
     def test_skew_tromino_true(self, skew_tromino):
         assert quadratic_gb_condition(skew_tromino)
@@ -527,19 +617,22 @@ class TestLowestVariableIndex:
             # a few lowest positions, so that leads share them
             lows = rng.sample(range(n), rng.randint(1, min(n, 3)))
 
+            def packed(exponents):
+                return oracles.from_bytes(vectors, bytes(exponents))
+
             def lead():
                 low = rng.choice(lows)
                 v = [0] * low + [rng.randint(1, 3)]
                 v += [rng.choice((0, 0, 1, 2, 3)) for _ in range(low + 1, n)]
-                return bytes(v)
+                return packed(v)
 
             def monomial():
-                return bytes(rng.choice((0, 0, 1, 2)) for _ in range(n))
+                return packed(rng.choice((0, 0, 1, 2)) for _ in range(n))
 
             def probe():
                 if vectors.leads and rng.random() < 0.7:
-                    base = rng.choice(vectors.leads)
-                    return bytes(e + rng.randint(0, 2) for e in base)
+                    base = oracles.to_bytes(vectors, rng.choice(vectors.leads))
+                    return packed(e + rng.randint(0, 2) for e in base)
                 return monomial()
 
             for _ in range(rng.randint(1, 4)):
@@ -556,16 +649,18 @@ class TestLowestVariableIndex:
                     calls += 1
                     assert vectors.step(y) == linear_step(vectors, y), (trial, y)
                     divisors = [
-                        k for k, m in enumerate(vectors.leads) if all(map(ge, y, m))
+                        k
+                        for k, m in enumerate(vectors.leads)
+                        if oracles.byte_divides(*(oracles.to_bytes(vectors, z) for z in (m, y)))
                     ]
                     if divisors:
                         first, last = (
-                            groebner._shift(y, vectors.leads[k], vectors.tails[k])
+                            vectors.shift(y, vectors.leads[k], vectors.tails[k])
                             for k in (divisors[0], divisors[-1])
                         )
                         rival_divisors += first != last
                         # the first divisor is not in the list of y's lowest indexed bit
-                        support = groebner._mask(y) & vectors.lows
+                        support = vectors.support(y) & vectors.lows
                         mask = vectors.masks[divisors[0]]
                         later_bucket += mask & -mask != support & -support
         # the cases where a wrong choice of divisor shows
