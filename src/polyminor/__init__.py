@@ -25,11 +25,8 @@ from .geometry import (
     Interval,
     Point,
     Polyomino,
-    border_cells,
-    cell_interval,
     complement,
     componentwise_less,
-    free_edges,
     inner_intervals,
     is_column_convex,
     is_convex,

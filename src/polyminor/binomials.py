@@ -7,6 +7,7 @@ level, and all results are independent of the coefficient field.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterable, NamedTuple
 
 from .geometry import CellCollection, Interval, Point, inner_intervals
@@ -203,10 +204,10 @@ class MonomialOrder:
         self.tag = tag
 
     def __setattr__(self, name: str, value: object) -> None:
-        if name == "tag" and not hasattr(self, name):
-            object.__setattr__(self, name, value)
-        else:
+        # each slot is set once, by __init__ or by unpickling
+        if hasattr(self, name):
             raise AttributeError("MonomialOrder is immutable")
+        object.__setattr__(self, name, value)
 
     def layout(self, variables: Iterable[Var]) -> tuple[Var, ...]:
         """The variable of each lane of groebner's exponent vectors, first lane first."""
@@ -240,7 +241,7 @@ class GradedRevlex(MonomialOrder):
 
     def __init__(self, variables: Iterable[Var]) -> None:
         super().__init__("grevlex")
-        object.__setattr__(self, "variables", tuple(variables))
+        self.variables = tuple(variables)
 
     def layout(self, variables: Iterable[Var]) -> tuple[Var, ...]:
         extra = set(variables).difference(self.variables)
@@ -248,8 +249,12 @@ class GradedRevlex(MonomialOrder):
 
     @staticmethod
     def vector_key(modulus: int) -> Callable[[int], object]:
-        # degree, then the exponents from the last variable on, negated
-        return lambda x: (x % modulus, -x)
+        return partial(_revlex_key, modulus)  # a module-level function pickles
+
+
+def _revlex_key(modulus: int, x: int) -> tuple[int, int]:
+    # degree, then the exponents from the last variable on, negated
+    return x % modulus, -x
 
 
 class Binomial:

@@ -82,18 +82,15 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
-def _cmd_check_simple(args) -> int:
-    col = _polyomino(args)
-    value = is_simple(col)
-    _emit(args, {"simple": value}, str(value).lower())
-    return 0 if value else 1
+def _verdict(name: str, test, read):
+    """A handler printing test(read(args)) under the key name; exit 1 when false."""
 
+    def handler(args) -> int:
+        value = test(read(args))
+        _emit(args, {name: value}, str(value).lower())
+        return 0 if value else 1
 
-def _cmd_check_convex(args) -> int:
-    col = _polyomino(args)
-    value = is_convex(col)
-    _emit(args, {"convex": value}, str(value).lower())
-    return 0 if value else 1
+    return handler
 
 
 def _cmd_gens(args) -> int:
@@ -122,12 +119,6 @@ def _cmd_groebner(args) -> int:
         ),
     )
     return 0
-
-
-def _cmd_quadratic_gb(args) -> int:
-    value = quadratic_gb_condition(_collection(args))
-    _emit(args, {"quadratic_gb": value}, str(value).lower())
-    return 0 if value else 1
 
 
 def _cmd_prime(args) -> int:
@@ -262,11 +253,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    add("check-simple", _cmd_check_simple)
-    add("check-convex", _cmd_check_convex)
+    add("check-simple", _verdict("simple", is_simple, _polyomino))
+    add("check-convex", _verdict("convex", is_convex, _polyomino))
     add("gens", _cmd_gens)
     add("groebner", _cmd_groebner, budget=True, cap=True)
-    add("quadratic-gb", _cmd_quadratic_gb)
+    add("quadratic-gb", _verdict("quadratic_gb", quadratic_gb_condition, _collection))
     add("prime", _cmd_prime, budget=True, cap=True)
     add("localize", _cmd_localize, budget=True, cap=True)
     add("graph-rep", _cmd_graph_rep, budget=True, cap=True)

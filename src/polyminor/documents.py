@@ -61,10 +61,7 @@ def _int_fields(parts: list[str], count: int, lineno: int, directive: str) -> li
 def parse_document(text: str) -> PolyominoDocument:
     name: str | None = None
     bounding: Interval | None = None
-    cells: list[Cell] = []
-    holes: list[Cell] = []
-    seen_cells: set[Cell] = set()
-    seen_holes: set[Cell] = set()
+    declared: dict[str, set[Cell]] = {"cell": set(), "hole": set()}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -80,25 +77,17 @@ def parse_document(text: str) -> PolyominoDocument:
                 bounding = Interval(Point(i1, j1), Point(i2, j2))
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from None
-        elif directive == "cell":
-            i, j = _int_fields(rest, 2, lineno, "cell")
-            c = Cell(i, j)
-            if c in seen_cells:
-                raise ParseError(lineno, f"duplicate cell {i} {j}")
-            seen_cells.add(c)
-            cells.append(c)
-        elif directive == "hole":
-            i, j = _int_fields(rest, 2, lineno, "hole")
-            c = Cell(i, j)
-            if c in seen_holes:
-                raise ParseError(lineno, f"duplicate hole {i} {j}")
-            seen_holes.add(c)
-            holes.append(c)
+        elif directive in declared:
+            seen, c = declared[directive], Cell(*_int_fields(rest, 2, lineno, directive))
+            if c in seen:
+                raise ParseError(lineno, f"duplicate {directive} {c.i} {c.j}")
+            seen.add(c)
         else:
             raise ParseError(lineno, f"unknown directive {directive!r}")
+    cells, holes = declared["cell"], declared["hole"]
     if not cells:
         raise ParseError(len(text.splitlines()) or 1, "document declares no cells")
-    overlap = seen_cells & seen_holes
+    overlap = cells & holes
     if overlap:
         c = sorted(overlap)[0]
         raise ParseError(len(text.splitlines()), f"{c!r} declared both cell and hole")

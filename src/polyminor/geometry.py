@@ -21,13 +21,10 @@ __all__ = [
     "CellCollection",
     "Polyomino",
     "componentwise_less",
-    "cell_interval",
     "is_polyomino",
     "is_row_convex",
     "is_column_convex",
     "is_convex",
-    "free_edges",
-    "border_cells",
     "is_simple",
     "complement",
     "inner_intervals",
@@ -269,21 +266,6 @@ def is_polyomino(collection: CellCollection) -> bool:
     return _connected(collection.cells)
 
 
-def cell_interval(a: Point, b: Point) -> tuple[Cell, ...]:
-    """Cells whose lower-left corners lie in the rectangle spanned by a <= b.
-
-    Degenerate rectangles are allowed: when a and b share a row the result
-    is the horizontal run of cells between them, and symmetrically for
-    columns.
-    """
-    a, b = Point(*a), Point(*b)
-    if a.i > b.i or a.j > b.j:
-        raise ValueError(f"{a} does not precede {b} weakly componentwise")
-    return tuple(
-        Cell(i, j) for i in range(a.i, b.i + 1) for j in range(a.j, b.j + 1)
-    )
-
-
 def is_row_convex(collection: CellCollection) -> bool:
     """Every row of the collection is a contiguous run of cells."""
     rows: dict[int, list[int]] = {}
@@ -303,23 +285,6 @@ def is_column_convex(collection: CellCollection) -> bool:
 def is_convex(collection: CellCollection) -> bool:
     """Row and column convex at once."""
     return is_row_convex(collection) and is_column_convex(collection)
-
-
-def free_edges(collection: CellCollection) -> frozenset[Edge]:
-    """Edges belonging to exactly one cell of the collection."""
-    count: dict[Edge, int] = {}
-    for c in collection.cells:
-        for e in c.edges:
-            count[e] = count.get(e, 0) + 1
-    return frozenset(e for e, n in count.items() if n == 1)
-
-
-def border_cells(collection: CellCollection) -> tuple[Cell, ...]:
-    """Cells owning at least one free edge, in canonical order."""
-    free = free_edges(collection)
-    return tuple(
-        c for c in collection.cells_sorted if any(e in free for e in c.edges)
-    )
 
 
 def is_simple(collection: CellCollection) -> bool:

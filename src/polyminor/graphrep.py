@@ -52,7 +52,7 @@ from itertools import combinations_with_replacement
 from typing import Iterable
 
 from .binomials import LEX, Binomial, Monomial, Var, aux_var, generators, point_var
-from .geometry import CellCollection, inner_intervals
+from .geometry import CellCollection
 from .groebner import (
     DEFAULT_DEGREE_CAP,
     Deadline,
@@ -109,16 +109,17 @@ class Constraint:
         return self.right, self.left
 
 
+def _constraints(gens: Iterable[Binomial]) -> tuple[Constraint, ...]:
+    """Minor k of [a, b] as Constraint(k, (a, b), ((a.i, b.j), (b.i, a.j)))."""
+    return tuple(
+        Constraint(k, f.plus.vars()[::-1], f.minus.vars()[::-1])
+        for k, f in enumerate(gens)
+    )
+
+
 def relation_constraints(collection: CellCollection) -> tuple[Constraint, ...]:
     """One endpoint-multiset constraint per inner minor, in canonical order."""
-    out = []
-    for idx, iv in enumerate(inner_intervals(collection)):
-        a, b = iv.lower_left, iv.upper_right
-        c, d = iv.anti_diagonal_corners
-        out.append(
-            Constraint(idx, (point_var(a), point_var(b)), (point_var(c), point_var(d)))
-        )
-    return tuple(out)
+    return _constraints(generators(collection))
 
 
 @dataclass(frozen=True)
@@ -314,7 +315,8 @@ class _Search:
         self, collection: CellCollection, deadline: Deadline, degree_cap: int
     ) -> None:
         self.variables = tuple(sorted(point_var(p) for p in collection.vertex_set))
-        self.constraints = relation_constraints(collection)
+        self.gens = generators(collection)
+        self.constraints = _constraints(self.gens)
         if not self.constraints:
             raise ValueError("collection has no inner minors to represent")
         self.by_var: dict[Var, tuple[Constraint, ...]] = {
@@ -322,7 +324,6 @@ class _Search:
             for v in self.variables
         }
         self.vertex_cap = 2 * len(self.variables)
-        self.gens = generators(collection)
         self.classes = quadric_classes(self.gens)
         self.deadline = deadline
         self.degree_cap = degree_cap

@@ -274,8 +274,10 @@ def _saturation(
                 (a - (a & lane), b - (a & lane)) for a, b in zip(basis.leads, basis.tails)
             ]
         elif target is None:
+            # every lead has degree >= low, and the lcm of two distinct ones
+            # has a higher degree, so no pair has degree low: only low + 1 is read
             low = min(map(basis.degree, basis.leads))
-            target = {d: _lead_count(basis, d) for d in (low, low + 1)}
+            target = {low + 1: _lead_count(basis, low + 1)}
         pending = [w for w in pending if leading & basis.lane_bits(w)]
     if equal:
         return gens, True

@@ -27,6 +27,7 @@ from polyminor.binomials import (
     aux_var,
     point_var,
 )
+from polyminor.enumeration import enumerate_polyominoes
 from polyminor.geometry import (
     Cell,
     CellCollection,
@@ -34,10 +35,11 @@ from polyminor.geometry import (
     Point,
     Polyomino,
     complement,
+    inner_intervals,
     is_convex,
     is_polyomino,
 )
-from polyminor.graphrep import RepVerdict, _complete, _multiset, _Search
+from polyminor.graphrep import Constraint, RepVerdict, _complete, _multiset, _Search
 from polyminor.groebner import (
     DEFAULT_DEGREE_CAP,
     Deadline,
@@ -136,6 +138,18 @@ def naive_inner_minor(interval: Interval) -> Binomial:
     return f
 
 
+def interval_constraints(collection: CellCollection) -> tuple[Constraint, ...]:
+    """graphrep.relation_constraints as it read each minor's corners off its interval."""
+    out = []
+    for idx, iv in enumerate(inner_intervals(collection)):
+        a, b = iv.lower_left, iv.upper_right
+        c, d = iv.anti_diagonal_corners
+        out.append(
+            Constraint(idx, (point_var(a), point_var(b)), (point_var(c), point_var(d)))
+        )
+    return tuple(out)
+
+
 def flood_is_simple(collection: CellCollection) -> bool:
     """Simplicity by flood fill of the whole bounding box plus a margin.
 
@@ -162,14 +176,6 @@ def flood_is_simple(collection: CellCollection) -> bool:
             if (ci, cj) not in members and (ci, cj) not in seen:
                 return False
     return True
-
-
-def naive_free_edges(shape: Polyomino) -> int:
-    counts: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
-    for cell in shape:
-        for edge in cell.edges:
-            counts[edge] = counts.get(edge, 0) + 1
-    return sum(1 for v in counts.values() if v == 1)
 
 
 def rewrite_monomial(exps: dict, rules: list[tuple[dict, dict]]) -> set[tuple]:
@@ -373,6 +379,36 @@ REFERENCE_SHAPES = (
     + [complement(bounding, inner) for bounding, inner in localization_family()]
     + [frame_shape()]
 )
+
+
+def ring_collection(width: int, height: int) -> CellCollection:
+    return CellCollection(
+        (i, j)
+        for i in range(width)
+        for j in range(height)
+        if not (0 < i < width - 1 and 0 < j < height - 1)
+    )
+
+
+def comb_collection(teeth: int, length: int) -> CellCollection:
+    spine = {(i, 0) for i in range(2 * teeth - 1)}
+    return CellCollection(spine | {(2 * t, j) for t in range(teeth) for j in range(1, length + 1)})
+
+
+@functools.cache
+def differential_shapes() -> tuple[CellCollection, ...]:
+    """The shapes of the differential tests against replaced constructions.
+
+    Every polyomino of at most six cells, the 20 family ambients, a 40x40
+    ring, a 15-tooth comb and a far pair of cells.
+    """
+    return (
+        *(shape for n in range(1, 7) for shape in enumerate_polyominoes(n)),
+        *(complement(bounding, inner) for bounding, inner in localization_family()),
+        ring_collection(40, 40),
+        comb_collection(15, 10),
+        CellCollection([(0, 0), (300, 300)]),
+    )
 
 
 def revlex_saturation(

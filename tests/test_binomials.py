@@ -17,11 +17,17 @@ from polyminor.binomials import (
     inner_minor,
     point_var,
 )
-from polyminor.enumeration import enumerate_polyominoes
-from polyminor.geometry import CellCollection, Interval, Point, complement, inner_intervals
+from polyminor.geometry import CellCollection, Interval, Point, inner_intervals
 from polyminor.groebner import _Vectors
 
-from oracles import frame_shape, localization_family, naive_inner_minor, order_cmp, oriented
+from oracles import (
+    comb_collection,
+    differential_shapes,
+    frame_shape,
+    naive_inner_minor,
+    order_cmp,
+    oriented,
+)
 
 
 def x(i: int, j: int) -> Var:
@@ -297,29 +303,6 @@ class TestGenerators:
         assert generators(frame) == generators(frame)
 
 
-def _ring(width: int, height: int) -> CellCollection:
-    return CellCollection(
-        (i, j)
-        for i in range(width)
-        for j in range(height)
-        if not (0 < i < width - 1 and 0 < j < height - 1)
-    )
-
-
-def _comb(teeth: int, length: int) -> CellCollection:
-    spine = {(i, 0) for i in range(2 * teeth - 1)}
-    return CellCollection(spine | {(2 * t, j) for t in range(teeth) for j in range(1, length + 1)})
-
-
-# every polyomino of at most six cells, the 20 family ambients, a 40x40 ring,
-# a 15-tooth comb and a far pair of cells
-DIFFERENTIAL_SHAPES = (
-    [shape for n in range(1, 7) for shape in enumerate_polyominoes(n)]
-    + [complement(bounding, inner) for bounding, inner in localization_family()]
-    + [_ring(40, 40), _comb(15, 10), CellCollection([(0, 0), (300, 300)])]
-)
-
-
 class TestGeneratorsAgainstFromVars:
     """generators and inner_minor against the general-constructor reference."""
 
@@ -337,19 +320,19 @@ class TestGeneratorsAgainstFromVars:
             assert back == g and (back.plus.exps, back.minus.exps) == (g.plus.exps, g.minus.exps)
 
     def test_shape_count(self):
-        assert len(DIFFERENTIAL_SHAPES) == 307 + 20 + 3
+        assert len(differential_shapes()) == 307 + 20 + 3
 
     def test_generators_match_reference(self):
-        for shape in DIFFERENTIAL_SHAPES:
+        for shape in differential_shapes():
             want = tuple(naive_inner_minor(iv) for iv in inner_intervals(shape))
             self.assert_same(generators(shape), want)
 
     def test_inner_minor_matches_reference(self):
-        for iv in inner_intervals(_comb(15, 10)):
+        for iv in inner_intervals(comb_collection(15, 10)):
             self.assert_same((inner_minor(iv),), (naive_inner_minor(iv),))
 
     def test_no_general_constructor_call(self, monkeypatch):
-        shapes = [frame_shape(), _comb(4, 3), CellCollection([(0, 0), (300, 300)])]
+        shapes = [frame_shape(), comb_collection(4, 3), CellCollection([(0, 0), (300, 300)])]
         want = [tuple(naive_inner_minor(iv) for iv in inner_intervals(s)) for s in shapes]
 
         def refuse(self, exps):

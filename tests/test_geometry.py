@@ -12,11 +12,8 @@ from polyminor.geometry import (
     Interval,
     Point,
     Polyomino,
-    border_cells,
-    cell_interval,
     complement,
     componentwise_less,
-    free_edges,
     inner_intervals,
     is_column_convex,
     is_convex,
@@ -28,7 +25,6 @@ from polyminor.geometry import (
 from oracles import (
     REFERENCE_SHAPES,
     flood_is_simple,
-    naive_free_edges,
     naive_inner_intervals,
 )
 
@@ -145,20 +141,6 @@ class TestInterval:
         assert Interval(lo, hi) == iv
 
 
-class TestCellInterval:
-    def test_degenerate_run_allowed(self):
-        # corners name cells inclusively, so a shared row gives the full run
-        run = cell_interval(Point(0, 0), Point(3, 0))
-        assert run == (Cell(0, 0), Cell(1, 0), Cell(2, 0), Cell(3, 0))
-
-    def test_single_cell(self):
-        assert cell_interval(Point(2, 2), Point(2, 2)) == (Cell(2, 2),)
-
-    def test_rejects_unordered(self):
-        with pytest.raises(ValueError):
-            cell_interval(Point(2, 0), Point(0, 0))
-
-
 class TestConnectivity:
     def test_polyomino_rejects_disconnected(self):
         with pytest.raises(ValueError):
@@ -202,30 +184,6 @@ class TestConvexity:
             for shape in enumerate_polyominoes(n):
                 if is_convex(shape):
                     assert is_simple(shape)
-
-
-class TestBoundary:
-    def test_unit_cell_free_edges(self, unit_cell):
-        assert len(free_edges(unit_cell)) == 4
-
-    def test_2x2_block(self, block_2x2):
-        assert len(free_edges(block_2x2)) == 8
-        assert len(border_cells(block_2x2)) == 4
-
-    def test_frame_free_edges(self, frame):
-        # 12 on the outer boundary, 4 around the unit hole
-        assert len(free_edges(frame)) == 16
-        assert naive_free_edges(frame) == 16
-
-    def test_big_frame_free_edges(self, big_frame):
-        # 16 outer + 8 around the 2x2 hole
-        assert len(free_edges(big_frame)) == 24
-        assert naive_free_edges(big_frame) == 24
-
-    @given(small_polyominoes())
-    @settings(max_examples=60, deadline=None)
-    def test_free_edges_match_oracle(self, shape):
-        assert len(free_edges(shape)) == naive_free_edges(shape)
 
 
 class TestSimplicity:

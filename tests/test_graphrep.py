@@ -23,7 +23,9 @@ from polyminor.toric import _relations, is_prime, toric_ideal_of_map
 from oracles import (
     REFERENCE_SHAPES,
     SweepSearch,
+    differential_shapes,
     exponent_lattice,
+    interval_constraints,
     localization_family,
     trace_digest,
 )
@@ -59,6 +61,29 @@ class TestConstraints:
         own, other = c.side_of(x(0, 0))
         assert set(own) == {x(0, 0), x(1, 1)}
         assert set(other) == {x(0, 1), x(1, 0)}
+
+
+class TestConstraintsAgainstIntervals:
+    """The constraints read off the generators against the interval reference."""
+
+    @staticmethod
+    def shapes():
+        # the differential shapes, and four cells that share no lattice point
+        return (*differential_shapes(), CellCollection([(0, 0), (0, 2), (2, 0), (2, 2)]))
+
+    @staticmethod
+    def fields(constraints):
+        return tuple((c.index, c.left, c.right) for c in constraints)
+
+    def test_reader_matches_reference(self):
+        for shape in self.shapes():
+            want = self.fields(interval_constraints(shape))
+            assert self.fields(relation_constraints(shape)) == want
+
+    def test_search_reads_the_same(self):
+        for shape in self.shapes():
+            state = _Search(shape, Deadline.unlimited(), DEFAULT_DEGREE_CAP)
+            assert self.fields(state.constraints) == self.fields(interval_constraints(shape))
 
 
 class TestGraphLabeling:

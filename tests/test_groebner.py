@@ -703,7 +703,12 @@ class TestLowestVariableIndex:
 
 
 class TestPickle:
-    def test_lex_basis_round_trip(self):
+    @staticmethod
+    def assert_round_trip(build):
+        """build's bases of the frame and of 4x4 minus (1,1) survive pickling.
+
+        Each copy answers every membership query as its original does.
+        """
         frame = frame_shape()
         box = Polyomino([(i, j) for i in range(4) for j in range(4) if (i, j) != (1, 1)])
         verdict = search_labeling(frame)
@@ -713,10 +718,17 @@ class TestPickle:
         # members: each shape's own generators, and the frame's 20 in the box
         expected = {"frame": 20 + 20, "box": 20 + 64}
         for name, shape in (("frame", frame), ("box", box)):
-            basis = buchberger(generators(shape), LEX)
+            basis = build(generators(shape))
             copy = pickle.loads(pickle.dumps(basis))
             assert copy == basis and copy.stats == basis.stats
             answers = [ideal_membership(f, basis) for f in probes]
             assert [ideal_membership(f, copy) for f in probes] == answers
             assert sum(answers) == expected[name]
             assert not any(ideal_membership(w, copy) for w in witnesses)
+
+    def test_lex_basis_round_trip(self):
+        self.assert_round_trip(lambda gens: buchberger(gens, LEX))
+
+    def test_revlex_basis_round_trip(self):
+        # a graded revlex key is a module-level function under a partial
+        self.assert_round_trip(lambda gens: revlex_basis(gens, ()))
