@@ -57,9 +57,7 @@ from .toric import (
 )
 from .localization import (
     CornerTriple,
-    IdentificationMap,
     LocalizationReport,
-    construct_p_prime,
     corner_set,
     nonzerodivisor_check,
     localization_hypotheses,

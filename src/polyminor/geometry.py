@@ -16,7 +16,6 @@ from typing import Iterable, Iterator, NamedTuple
 __all__ = [
     "Point",
     "Cell",
-    "Edge",
     "Interval",
     "CellCollection",
     "Polyomino",
@@ -53,15 +52,6 @@ def componentwise_less(a: Point, b: Point) -> bool:
     return a.i < b.i and a.j < b.j
 
 
-# An edge is an unordered pair of lattice points at distance one, stored
-# with the endpoints sorted so it can live in sets.
-Edge = tuple[Point, Point]
-
-
-def _edge(p: Point, q: Point) -> Edge:
-    return (p, q) if p <= q else (q, p)
-
-
 class Cell(NamedTuple):
     """Unit cell identified by its lower-left corner."""
 
@@ -77,17 +67,9 @@ class Cell(NamedTuple):
         i, j = self
         return (Point(i, j), Point(i + 1, j), Point(i, j + 1), Point(i + 1, j + 1))
 
-    @property
-    def edges(self) -> tuple[Edge, Edge, Edge, Edge]:
-        ll, lr, ul, ur = self.vertices
-        return (_edge(ll, lr), _edge(ll, ul), _edge(lr, ur), _edge(ul, ur))
-
     def neighbors(self) -> tuple["Cell", "Cell", "Cell", "Cell"]:
         i, j = self
         return (Cell(i - 1, j), Cell(i + 1, j), Cell(i, j - 1), Cell(i, j + 1))
-
-    def as_interval(self) -> "Interval":
-        return Interval(Point(self.i, self.j), Point(self.i + 1, self.j + 1))
 
     def __repr__(self) -> str:
         return f"Cell({self.i},{self.j})"
@@ -140,14 +122,6 @@ class Interval:
             Cell(i, j) for i in range(a.i, b.i) for j in range(a.j, b.j)
         )
 
-    def contains_point(self, p: Point) -> bool:
-        a, b = self.lower_left, self.upper_right
-        return a.i <= p.i <= b.i and a.j <= p.j <= b.j
-
-    def contains_cell(self, c: Cell) -> bool:
-        a, b = self.lower_left, self.upper_right
-        return a.i <= c.i < b.i and a.j <= c.j < b.j
-
     def __repr__(self) -> str:
         return f"[{self.lower_left},{self.upper_right}]"
 
@@ -197,10 +171,6 @@ class CellCollection:
     @property
     def vertex_set(self) -> frozenset[Point]:
         return frozenset(v for c in self.cells for v in c.vertices)
-
-    @property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(e for c in self.cells for e in c.edges)
 
     def bounding_interval(self) -> Interval:
         if not self.cells:

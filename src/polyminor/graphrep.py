@@ -479,14 +479,8 @@ class _Search:
             ]
             best = (len(domain), pick, domain)
         _, v, domain = best
-        filtered = [
-            e
-            for e in domain
-            if e not in self.used
-            and e[1] < self.vertex_cap
-            and self._viable(v, e)
-        ]
-        return v, filtered
+        # every candidate endpoint is an assigned one or below the cap
+        return v, [e for e in domain if e not in self.used and self._viable(v, e)]
 
     # ---- full labeling verification ----------------------------------
 

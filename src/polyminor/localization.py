@@ -14,7 +14,7 @@ instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .binomials import LEX, Binomial, Monomial, Var, generators, point_var
 from .geometry import (
@@ -39,12 +39,10 @@ from .toric import revlex_basis
 
 __all__ = [
     "CornerTriple",
-    "IdentificationMap",
     "LocalizationReport",
     "localization_hypotheses",
     "corner_set",
     "nonzerodivisor_check",
-    "construct_p_prime",
     "verify_localization",
 ]
 
@@ -59,26 +57,6 @@ class CornerTriple(NamedTuple):
     p: Point
     r: Point
     q: Point
-
-
-@dataclass(frozen=True)
-class IdentificationMap:
-    """Vertex identifications sending border segments beside the hole.
-
-    The map renames each source point on the bounding border to the
-    parallel point on the segment bordering the inner polyomino; points
-    off the domain are fixed.
-    """
-
-    vertical: tuple[tuple[Point, Point], ...]
-    horizontal: tuple[tuple[Point, Point], ...]
-
-    @property
-    def mapping(self) -> dict[Point, Point]:
-        return dict(self.vertical + self.horizontal)
-
-    def apply(self, p: Point) -> Point:
-        return self.mapping.get(p, p)
 
 
 def localization_hypotheses(bounding: Interval, inner: CellCollection) -> tuple[str, ...]:
@@ -155,98 +133,48 @@ def nonzerodivisor_check(
     return all(g.plus.exponent(cvar) == 0 for g in basis)
 
 
-def _extremal_inner_vertices(inner: CellCollection) -> tuple[Point, Point]:
-    """Lowest-left vertex by (i, j) and top-right vertex by (j, i)."""
-    vertices = inner.vertex_set
-    low = min(vertices)
-    high = max(vertices, key=lambda p: (p.j, p.i))
-    return low, high
-
-
 def _shrink(
     bounding: Interval, inner: CellCollection
 ) -> tuple[
-    tuple[CornerTriple, ...], frozenset[Cell], frozenset[Cell], IdentificationMap
+    tuple[CornerTriple, ...], frozenset[Cell], frozenset[Cell], dict[Point, Point]
 ]:
-    """Corner triples, removed cells, remaining cells and identification map.
+    """Corner triples, removed cells, remaining cells and the identification.
 
-    The one derivation of P' behind both construct_p_prime and
-    verify_localization.
+    The identification renames each point of the two orphaned border
+    segments to the parallel point beside the inner polyomino: the left
+    segment up to the inner's lowest-left vertex first, then the top
+    segment from its top-right vertex on.
     """
     triples = corner_set(bounding, inner)
     removed = frozenset(c for t in triples for c in Interval(t.r, t.q).cells())
     remaining = complement(bounding, inner).cells - removed
     lo, hi = bounding.lower_left, bounding.upper_right
-    low, high = _extremal_inner_vertices(inner)
-    vertical = tuple(
-        (Point(lo.i, t), Point(low.i, t)) for t in range(lo.j, low.j + 1)
-    )
-    horizontal = tuple(
-        (Point(t, hi.j), Point(t, high.j)) for t in range(high.i, hi.i + 1)
-    )
-    return triples, removed, remaining, IdentificationMap(vertical, horizontal)
-
-
-def construct_p_prime(
-    bounding: Interval, inner: CellCollection
-) -> tuple[Polyomino, IdentificationMap]:
-    """The shrunken polyomino left after deleting all corner rectangles.
-
-    Also returns the identification map gluing the orphaned border
-    segments of the bounding interval onto the segments bordering the
-    inner polyomino.  Raises ValueError when the remaining cells fail to
-    form a polyomino, which the localization argument rules out for
-    valid hypotheses.
-    """
-    _, _, remaining, ident = _shrink(bounding, inner)
-    return Polyomino(remaining), ident
-
-
-def _transform_side(
-    side: Monomial,
-    substitution: dict[Var, tuple[Var, Var]],
-    cvar: Var,
-    rename: dict[Var, Var],
-) -> tuple[Monomial, int]:
-    """Apply corner substitutions and border renaming; track powers of x_c."""
-    cexp = 0
-    parts: list[tuple[Var, int]] = []
-    for v, e in side.exps:
-        if v == cvar:
-            cexp += e
-        elif v in substitution:
-            r, q = substitution[v]
-            parts.append((rename.get(r, r), e))
-            parts.append((rename.get(q, q), e))
-            cexp -= e
-        else:
-            parts.append((rename.get(v, v), e))
-    return Monomial(parts), cexp
+    low = min(inner.vertex_set)
+    high = max(inner.vertex_set, key=lambda p: (p.j, p.i))
+    ident = {Point(lo.i, t): Point(low.i, t) for t in range(lo.j, low.j + 1)}
+    ident.update((Point(t, hi.j), Point(t, high.j)) for t in range(high.i, hi.i + 1))
+    return triples, removed, remaining, ident
 
 
 def _core_binomial(
-    gen: Binomial,
-    substitution: dict[Var, tuple[Var, Var]],
-    cvar: Var,
-    rename: dict[Var, Var],
+    gen: Binomial, image: dict[Var, tuple[tuple[Var, int], ...]]
 ) -> Binomial | None:
-    """Localized image of a generator with common factors cancelled.
+    """Localized image of a generator, None when it vanishes.
 
-    Residual powers of the inverted corner variable can only survive on
-    one side; they are reattached as honest variable powers so membership
-    checks stay meaningful.
+    image sends a variable to (variable, exponent) pairs, x_c may get -1,
+    and absent variables are fixed.  The core is the positive minus the
+    negative part of image(plus) - image(minus): common factors cancel,
+    and a residual power of x_c stays on one side as a variable power.
     """
-    plus, cp = _transform_side(gen.plus, substitution, cvar, rename)
-    minus, cm = _transform_side(gen.minus, substitution, cvar, rename)
-    shared = plus.gcd(minus)
-    plus, minus = plus.div(shared), minus.div(shared)
-    floor = min(cp, cm)
-    cp, cm = cp - floor, cm - floor
-    if cp:
-        plus = plus.mul(Monomial(((cvar, cp),)))
-    if cm:
-        minus = minus.mul(Monomial(((cvar, cm),)))
-    return Binomial.make(plus, minus)
+    vector: dict[Var, int] = {}
+    for side, sign in ((gen.plus, 1), (gen.minus, -1)):
+        for v, e in side.exps:
+            for w, k in image.get(v, ((v, 1),)):
+                vector[w] = vector.get(w, 0) + sign * e * k
+    return Binomial.make(
+        Monomial((v, e) for v, e in vector.items() if e > 0),
+        Monomial((v, -e) for v, e in vector.items() if e < 0),
+    )
 
 
 @dataclass(frozen=True)
@@ -260,7 +188,7 @@ class LocalizationReport:
     corner_triples: tuple[CornerTriple, ...]
     removed_cells: frozenset[Cell]
     p_prime: CellCollection | None
-    ident: IdentificationMap | None
+    ident: dict[Point, Point] | None
     checks: dict[str, bool]
 
     @property
@@ -298,32 +226,28 @@ def verify_localization(
     triples, removed, remaining_cells, ident = _shrink(bounding, inner)
     corner = Point(bounding.lower_left.i, bounding.upper_right.j)
     cvar = point_var(corner)
-
     remaining = CellCollection(remaining_cells)
     p_prime: CellCollection
     try:
         p_prime = Polyomino(remaining_cells)
-        p_prime_ok = True
     except ValueError:
         p_prime = remaining
-        p_prime_ok = False
-
-    checks: dict[str, bool] = {}
-    checks["nonzerodivisor"] = nonzerodivisor_check(
-        ambient, corner, degree_cap=degree_cap, deadline=deadline
-    )
-    checks["p_prime_polyomino"] = p_prime_ok
-    checks["p_prime_simple"] = bool(remaining_cells) and is_simple(remaining)
-
-    substitution = {
-        point_var(t.p): (point_var(t.r), point_var(t.q)) for t in triples
+    checks = {
+        "nonzerodivisor": nonzerodivisor_check(
+            ambient, corner, degree_cap=degree_cap, deadline=deadline
+        ),
+        "p_prime_polyomino": isinstance(p_prime, Polyomino),
+        "p_prime_simple": bool(remaining_cells) and is_simple(remaining),
     }
-    rename = {point_var(s): point_var(d) for s, d in ident.mapping.items()}
-    cores = []
-    for gen in generators(ambient):
-        cores.append(_core_binomial(gen, substitution, cvar, rename))
-    shrunk_gens = generators(remaining)
+
+    # x_p = x_r' x_q' / x_c for each corner triple, then the renaming
+    image = {point_var(s): ((point_var(d), 1),) for s, d in ident.items()}
+    for t in triples:
+        r, q = (point_var(ident.get(u, u)) for u in (t.r, t.q))
+        image[point_var(t.p)] = ((r, 1), (q, 1), (cvar, -1))
+    cores = [_core_binomial(gen, image) for gen in generators(ambient)]
     live = [f for f in cores if f is not None]
+    shrunk_gens = generators(remaining)
     classes = quadric_classes(shrunk_gens)
     quadrics: list[Binomial] = []
     others: list[Binomial] = []
@@ -337,9 +261,8 @@ def verify_localization(
             shrunk_gens, LEX, degree_cap=degree_cap, deadline=deadline
         )
         forward = all(ideal_membership(f, shrunk_basis) for f in others)
-    core_set = {f for f in live}
-    backward = all(g in core_set for g in shrunk_gens)
-    checks["ideal_correspondence"] = forward and backward
+    core_set = set(live)
+    checks["ideal_correspondence"] = forward and all(g in core_set for g in shrunk_gens)
 
     return LocalizationReport(
         bounding, inner, ambient, (),

@@ -369,6 +369,58 @@ def localization_family() -> list[tuple[Interval, CellCollection]]:
     return instances
 
 
+# The localization core as localization._core_binomial computed it before
+# it read each core off an exponent vector: substitute and rename each
+# side, cancel the gcd, and reattach the residual power of x_c.
+
+
+def _transform_side(
+    side: Monomial,
+    substitution: dict[Var, tuple[Var, Var]],
+    cvar: Var,
+    rename: dict[Var, Var],
+) -> tuple[Monomial, int]:
+    """Apply corner substitutions and border renaming; track powers of x_c."""
+    cexp = 0
+    parts: list[tuple[Var, int]] = []
+    for v, e in side.exps:
+        if v == cvar:
+            cexp += e
+        elif v in substitution:
+            r, q = substitution[v]
+            parts.append((rename.get(r, r), e))
+            parts.append((rename.get(q, q), e))
+            cexp -= e
+        else:
+            parts.append((rename.get(v, v), e))
+    return Monomial(parts), cexp
+
+
+def _core_binomial(
+    gen: Binomial,
+    substitution: dict[Var, tuple[Var, Var]],
+    cvar: Var,
+    rename: dict[Var, Var],
+) -> Binomial | None:
+    """Localized image of a generator with common factors cancelled.
+
+    Residual powers of the inverted corner variable can only survive on
+    one side; they are reattached as honest variable powers so membership
+    checks stay meaningful.
+    """
+    plus, cp = _transform_side(gen.plus, substitution, cvar, rename)
+    minus, cm = _transform_side(gen.minus, substitution, cvar, rename)
+    shared = plus.gcd(minus)
+    plus, minus = plus.div(shared), minus.div(shared)
+    floor = min(cp, cm)
+    cp, cm = cp - floor, cm - floor
+    if cp:
+        plus = plus.mul(Monomial(((cvar, cp),)))
+    if cm:
+        minus = minus.mul(Monomial(((cvar, cm),)))
+    return Binomial.make(plus, minus)
+
+
 # every polyomino of at most five cells, the localization family and the frame
 REFERENCE_SHAPES = (
     [

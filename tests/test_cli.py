@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ import polyminor
 from polyminor import cli
 from polyminor.cli import main
 from polyminor.survey import DEFAULT_ROW_BUDGET
+
+from oracles import localization_family
 
 FRAME_DOC = """\
 name frame
@@ -205,6 +208,23 @@ class TestLocalize:
         code, out, _ = run(capsys, "localize", "--input", str(path), "--json")
         assert code == 1
         assert json.loads(out)["hypothesis_violations"] == ["touches_boundary"]
+
+    def test_family_output_pinned(self, capsys, tmp_path):
+        # exit code and stdout of both modes on every family instance
+        digest = hashlib.sha256()
+        path = tmp_path / "instance.poly"
+        for bounding, inner in localization_family():
+            lo, hi = bounding.lower_left, bounding.upper_right
+            path.write_text(
+                f"bounding {lo.i} {lo.j} {hi.i} {hi.j}\n"
+                + "".join(f"cell {c.i} {c.j}\n" for c in sorted(inner.cells))
+            )
+            for extra in ((), ("--json",)):
+                code, out, _ = run(capsys, "localize", "--input", str(path), *extra)
+                digest.update(f"{code}\n{out}".encode())
+        assert digest.hexdigest() == (
+            "c5acf8cc637e1ee019e30ffefd17d6beeac21702fffa9e4e2141086f7b05634a"
+        )
 
 
 class TestGraphRep:

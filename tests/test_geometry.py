@@ -95,16 +95,6 @@ class TestCell:
         assert set(c.vertices) == {
             Point(1, 1), Point(2, 1), Point(1, 2), Point(2, 2),
         }
-        assert len(set(c.edges)) == 4
-
-    def test_shared_edge_between_neighbors(self):
-        shared = set(Cell(0, 0).edges) & set(Cell(1, 0).edges)
-        assert len(shared) == 1
-
-    def test_as_interval(self):
-        iv = Cell(2, 3).as_interval()
-        assert iv.lower_left == Point(2, 3)
-        assert iv.upper_right == Point(3, 4)
 
 
 class TestInterval:
@@ -123,13 +113,6 @@ class TestInterval:
         cells = iv.cells()
         assert len(cells) == iv.width * iv.height == 6
         assert Cell(1, 1) in cells and Cell(2, 3) in cells
-
-    def test_containment(self):
-        iv = Interval(Point(0, 0), Point(2, 2))
-        assert iv.contains_point(Point(1, 2))
-        assert not iv.contains_point(Point(3, 0))
-        assert iv.contains_cell(Cell(1, 1))
-        assert not iv.contains_cell(Cell(2, 0))
 
     @given(points(), st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4))
     def test_anti_diagonal_determines_interval(self, a, w, h):
@@ -304,7 +287,10 @@ class TestInnerIntervals:
         start = time.monotonic()
         ivs = inner_intervals(CellCollection([(0, 0), (3000, 3000)]))
         assert time.monotonic() - start < 1.0
-        assert ivs == (Cell(0, 0).as_interval(), Cell(3000, 3000).as_interval())
+        assert ivs == (
+            Interval(Point(0, 0), Point(1, 1)),
+            Interval(Point(3000, 3000), Point(3001, 3001)),
+        )
 
     def test_trusted_intervals_equal_validated(self):
         from polyminor.enumeration import enumerate_polyominoes
@@ -353,7 +339,6 @@ class TestCollection:
 
     def test_vertex_and_edge_sets(self, domino_h):
         assert len(domino_h.vertex_set) == 6
-        assert len(domino_h.edge_set) == 7
 
     def test_bounding_interval(self, s_tetromino):
         bi = s_tetromino.bounding_interval()

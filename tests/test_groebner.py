@@ -20,7 +20,7 @@ from polyminor.binomials import (
 )
 from polyminor.geometry import CellCollection, Interval, Point, Polyomino, complement
 from polyminor.graphrep import search_labeling
-from polyminor.localization import construct_p_prime
+from polyminor.localization import verify_localization
 from polyminor.toric import is_prime, revlex_basis
 import polyminor.groebner as groebner
 from polyminor.groebner import (
@@ -544,7 +544,7 @@ class TestQuadricClasses:
         collections = [
             *SMALL_SHAPES,
             *(complement(bounding, inner) for bounding, inner in family),
-            *(construct_p_prime(bounding, inner)[0] for bounding, inner in family),
+            *(verify_localization(bounding, inner).p_prime for bounding, inner in family),
         ]
         outside = aux_var("z", 0)
         members = 0

@@ -6,13 +6,13 @@ from polyminor.geometry import Cell, CellCollection, Interval, Point, Polyomino,
 from polyminor.groebner import buchberger, ideal_membership
 from polyminor.localization import (
     CornerTriple,
-    construct_p_prime,
     corner_set,
     nonzerodivisor_check,
     localization_hypotheses,
     verify_localization,
 )
 
+import oracles
 from oracles import localization_family, marker_saturate
 
 FRAME_BOUNDING = Interval(Point(0, 0), Point(3, 3))
@@ -104,21 +104,21 @@ class TestNonzerodivisor:
 
 class TestConstructPPrime:
     def test_frame_shrinks_to_l_tromino(self):
-        p_prime, ident = construct_p_prime(FRAME_BOUNDING, FRAME_HOLE)
-        assert {(c.i, c.j) for c in p_prime} == {(1, 0), (2, 0), (2, 1)}
-        assert ident.vertical == (
+        report = verify_localization(FRAME_BOUNDING, FRAME_HOLE)
+        assert isinstance(report.p_prime, Polyomino)
+        assert {(c.i, c.j) for c in report.p_prime} == {(1, 0), (2, 0), (2, 1)}
+        # the left segment's pairs first, then the top segment's
+        assert list(report.ident.items()) == [
             (Point(0, 0), Point(1, 0)),
             (Point(0, 1), Point(1, 1)),
-        )
-        assert ident.horizontal == (
             (Point(2, 3), Point(2, 2)),
             (Point(3, 3), Point(3, 2)),
-        )
+        ]
 
     def test_identification_fixes_unlisted_points(self):
-        _, ident = construct_p_prime(FRAME_BOUNDING, FRAME_HOLE)
-        assert ident.apply(Point(2, 0)) == Point(2, 0)
-        assert ident.apply(Point(0, 0)) == Point(1, 0)
+        ident = verify_localization(FRAME_BOUNDING, FRAME_HOLE).ident
+        assert ident.get(Point(2, 0), Point(2, 0)) == Point(2, 0)
+        assert ident.get(Point(0, 0), Point(0, 0)) == Point(1, 0)
 
 
 class TestVerifyLocalization:
@@ -205,3 +205,42 @@ class TestCoreMembership:
         report = verify_localization(FRAME_BOUNDING, FRAME_HOLE)
         assert replaced and len(bases) == 1
         assert report.checks["ideal_correspondence"] == inside
+
+
+class TestCoreDifferential:
+    """Each core against the substitute-then-cancel route it replaced."""
+
+    def test_cores_equal_reference(self, monkeypatch):
+        # the family, then 6x6 boxes minus every interior rectangle
+        box = Interval(Point(0, 0), Point(6, 6))
+        spans = [(a, b) for a in range(1, 5) for b in range(a + 1, 6)]
+        instances = localization_family() + [
+            (box, CellCollection((i, j) for i in range(*cols) for j in range(*rows)))
+            for cols in spans
+            for rows in spans
+        ]
+        assert len(instances) == 120
+        # the nonzerodivisor check reads no core, so it is skipped here
+        calls = []
+        core = localization._core_binomial
+
+        def record(gen, image):
+            calls.append((gen, core(gen, image)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(localization, "_core_binomial", record)
+        monkeypatch.setattr(localization, "nonzerodivisor_check", lambda *a, **k: True)
+        for bounding, inner in instances:
+            calls.clear()
+            report = verify_localization(bounding, inner)
+            assert report.all_checks_pass
+            cvar = point_var(Point(bounding.lower_left.i, bounding.upper_right.j))
+            substitution = {
+                point_var(t.p): (point_var(t.r), point_var(t.q))
+                for t in report.corner_triples
+            }
+            rename = {point_var(s): point_var(d) for s, d in report.ident.items()}
+            assert [gen for gen, _ in calls] == list(generators(report.ambient))
+            for gen, got in calls:
+                want = oracles._core_binomial(gen, substitution, cvar, rename)
+                assert got == want, (bounding, inner, gen)

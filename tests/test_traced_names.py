@@ -1,14 +1,18 @@
-"""The benchmark's tracer wraps package functions by name; each must exist.
+"""Names the package is reached by as strings must exist.
 
 perfbench/tracer.py rebinds every (module, function) pair of its TARGETS
 with getattr, so a removed or renamed function fails every traced run.
 The pairs are read by parsing the file, which is neither imported nor
-edited here.
+edited here.  Likewise every name in a module's __all__ must be defined,
+or a star import of that module fails.
 """
 
 import ast
 import importlib
+import pkgutil
 from pathlib import Path
+
+import polyminor
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -32,3 +36,10 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(f"polyminor.{module}"), function, None))
     ]
     assert not missing, f"traced by perfbench/tracer.py but not callable: {missing}"
+
+
+def test_every_module_star_imports():
+    modules = [m.name for m in pkgutil.iter_modules(polyminor.__path__)]
+    assert "localization" in modules
+    for name in modules:
+        exec(f"from polyminor.{name} import *", {})
