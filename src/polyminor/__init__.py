@@ -49,6 +49,7 @@ from .toric import (
     MonomialMap,
     PrimalityCertificate,
     TorsionWitness,
+    is_nonzerodivisor,
     is_prime,
     is_saturated_lattice,
     revlex_basis,

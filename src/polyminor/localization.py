@@ -14,7 +14,7 @@ instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .binomials import LEX, Binomial, Monomial, Var, generators, point_var
 from .geometry import (
@@ -35,7 +35,7 @@ from .groebner import (
     ideal_membership,
     quadric_classes,
 )
-from .toric import revlex_basis
+from .toric import is_nonzerodivisor
 
 __all__ = [
     "CornerTriple",
@@ -113,6 +113,7 @@ def nonzerodivisor_check(
     ambient: CellCollection,
     corner: Point | None = None,
     *,
+    gens: Sequence[Binomial] | None = None,
     degree_cap: int = DEFAULT_DEGREE_CAP,
     deadline: Deadline | None = None,
 ) -> bool:
@@ -120,17 +121,19 @@ def nonzerodivisor_check(
 
     It is exactly when it divides no initial term of the reduced graded
     reverse-lex basis that has the corner variable last, since the ideal
-    is homogeneous.  The corner defaults to the upper-left corner of the
-    collection's bounding box.
+    is homogeneous (toric.is_nonzerodivisor).  The corner defaults to the
+    upper-left corner of the collection's bounding box; gens, when given,
+    are the collection's generators.
     """
     if corner is None:
         box = ambient.bounding_interval()
         corner = Point(box.lower_left.i, box.upper_right.j)
-    cvar = point_var(corner)
-    basis = revlex_basis(
-        generators(ambient), (cvar,), degree_cap=degree_cap, deadline=deadline
+    return is_nonzerodivisor(
+        generators(ambient) if gens is None else gens,
+        point_var(corner),
+        degree_cap=degree_cap,
+        deadline=deadline,
     )
-    return all(g.plus.exponent(cvar) == 0 for g in basis)
 
 
 def _shrink(
@@ -232,9 +235,10 @@ def verify_localization(
         p_prime = Polyomino(remaining_cells)
     except ValueError:
         p_prime = remaining
+    ambient_gens = generators(ambient)
     checks = {
         "nonzerodivisor": nonzerodivisor_check(
-            ambient, corner, degree_cap=degree_cap, deadline=deadline
+            ambient, corner, gens=ambient_gens, degree_cap=degree_cap, deadline=deadline
         ),
         "p_prime_polyomino": isinstance(p_prime, Polyomino),
         "p_prime_simple": bool(remaining_cells) and is_simple(remaining),
@@ -245,7 +249,7 @@ def verify_localization(
     for t in triples:
         r, q = (point_var(ident.get(u, u)) for u in (t.r, t.q))
         image[point_var(t.p)] = ((r, 1), (q, 1), (cvar, -1))
-    cores = [_core_binomial(gen, image) for gen in generators(ambient)]
+    cores = [_core_binomial(gen, image) for gen in ambient_gens]
     live = [f for f in cores if f is not None]
     shrunk_gens = generators(remaining)
     classes = quadric_classes(shrunk_gens)

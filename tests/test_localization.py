@@ -1,6 +1,6 @@
 import pytest
 
-from polyminor import localization
+from polyminor import localization, toric
 from polyminor.binomials import LEX, Binomial, Monomial, generators, point_var
 from polyminor.geometry import Cell, CellCollection, Interval, Point, Polyomino, complement
 from polyminor.groebner import buchberger, ideal_membership
@@ -100,6 +100,23 @@ class TestNonzerodivisor:
             verdicts[p] = nonzerodivisor_check(cross, p)
             assert verdicts[p] == regular, p
         assert verdicts[Point(1, 1)] is False
+        # the shared helper, with the generators passed in, says the same
+        for p, verdict in verdicts.items():
+            assert nonzerodivisor_check(cross, p, gens=gens) == verdict
+            assert toric.is_nonzerodivisor(gens, point_var(p)) == verdict
+
+    def test_generators_built_once(self, monkeypatch):
+        built = []
+
+        def counted(collection):
+            built.append(collection)
+            return generators(collection)
+
+        monkeypatch.setattr(localization, "generators", counted)
+        report = verify_localization(BIG_BOUNDING, BIG_HOLE)
+        assert report.all_checks_pass
+        ambient = complement(BIG_BOUNDING, BIG_HOLE)
+        assert sum(c.cells == ambient.cells for c in built) == 1
 
 
 class TestConstructPPrime:

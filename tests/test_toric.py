@@ -1,4 +1,6 @@
 import functools
+import itertools
+import pickle
 import random
 import time
 
@@ -17,7 +19,14 @@ from polyminor.binomials import (
     point_var,
 )
 from polyminor.enumeration import enumerate_polyominoes
-from polyminor.geometry import CellCollection, Interval, Point, Polyomino, complement
+from polyminor.geometry import (
+    CellCollection,
+    Interval,
+    Point,
+    Polyomino,
+    complement,
+    is_simple,
+)
 from polyminor.graphrep import GraphLabeling, bipartite_grid_labeling, search_labeling
 from polyminor.groebner import (
     DEFAULT_DEGREE_CAP,
@@ -644,3 +653,183 @@ class TestLatticeStepReference:
             edges = [dict.fromkeys(e, 1) for _, e in lab.edges]
             images = [dict(image.exps) for _, image in lab.monomial_map().assignment]
             assert _relations(edges) == _relations(images), lab
+
+
+# a holed 9-cell shape whose ideal is not prime; images that also cancel
+# common factors other than x_c reach a prime ideal along PHANTOM_PATH
+HOLED_NOT_PRIME = CellCollection(
+    [(0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 3), (1, 4), (2, 1), (2, 2)]
+)
+PHANTOM_PATH = (x(0, 1), x(2, 0), x(3, 1))
+
+
+def saturation_route(gens):
+    """is_prime with the localization steps switched off."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(toric, "_localization_steps", lambda *a, **k: None)
+        return is_prime(gens)
+
+
+def assert_routes_agree(collections):
+    """Both routes give equal certificates and ranks; returns how many the steps proved."""
+    stepped = 0
+    for collection in collections:
+        gens = generators(collection)
+        have, want = is_prime(gens), saturation_route(gens)
+        assert have == want and have.rank == want.rank, collection
+        assert have.as_json() == want.as_json()
+        assert have.is_prime or not have.steps
+        stepped += bool(have.steps)
+    return stepped
+
+
+def box_collections(width, height):
+    """Every nonempty collection of cells in a width x height box."""
+    box = [(i, j) for i in range(width) for j in range(height)]
+    return [
+        CellCollection(cells)
+        for k in range(1, len(box) + 1)
+        for cells in itertools.combinations(box, k)
+    ]
+
+
+@functools.cache
+def holed_rows(n):
+    return tuple(shape for shape in enumerate_polyominoes(n) if not is_simple(shape))
+
+
+def full_cancellation_image(gens, c, defined, image=toric._image):
+    """toric._image, then every common factor cancelled, as localization cores are."""
+    images = {}
+    for g in image(gens, c, defined):
+        plus, minus = dict(g.plus.exps), dict(g.minus.exps)
+        for v in plus.keys() & minus.keys():
+            low = min(plus[v], minus[v])
+            plus[v] -= low
+            minus[v] -= low
+        f = Binomial.make(Monomial(plus.items()), Monomial(minus.items()))
+        if f is not None:
+            images.setdefault(f)
+    return list(images)
+
+
+class TestLocalizationSteps:
+    def test_frame_and_holed_box_record_steps(self, frame):
+        holed_box = complement(Interval(Point(0, 0), Point(4, 4)), CellCollection([(1, 1)]))
+        for shape in (frame, holed_box):
+            cert = is_prime(generators(shape))
+            assert cert.is_prime and cert.steps
+            assert cert == saturation_route(generators(shape))
+        assert is_prime(generators(holed_box)).steps == (x(2, 2), x(0, 0))
+
+    def test_steps_not_compared_or_printed(self, frame):
+        cert = is_prime(generators(frame))
+        assert cert.steps
+        assert cert == PrimalityCertificate("prime", True, True, None)
+        assert "steps" not in repr(cert)
+        assert list(cert.as_json()) == ["verdict", "lattice_saturated", "saturation_equal", "witness"]
+        back = pickle.loads(pickle.dumps(cert))
+        assert back == cert and back.steps == cert.steps
+
+    def test_counterexample_stays_not_prime(self, monkeypatch):
+        cert = is_prime(generators(HOLED_NOT_PRIME))
+        assert not cert.is_prime and cert.steps == ()
+        # forced along the path, images with x_c alone cleared never reach a prime leaf
+        path = list(PHANTOM_PATH)
+        monkeypatch.setattr(
+            toric,
+            "_vertex",
+            lambda gens: (c := path.pop(0), toric._definers(gens)[c]) if path else None,
+        )
+        assert toric._localization_steps(
+            list(generators(HOLED_NOT_PRIME)), degree_cap=DEFAULT_DEGREE_CAP, deadline=None
+        ) is None
+        # while cancelling every common factor would prove it "prime"
+        path[:] = PHANTOM_PATH
+        monkeypatch.setattr(toric, "_image", full_cancellation_image)
+        assert toric._localization_steps(
+            list(generators(HOLED_NOT_PRIME)), degree_cap=DEFAULT_DEGREE_CAP, deadline=None
+        ) == PHANTOM_PATH
+
+    def test_no_circular_definer(self):
+        # x(0,0)x(0,1) - x(0,0)x(0,2): each squarefree term shares a variable with the other side
+        f = Binomial.make(mono(x(0, 0), x(0, 1)), mono(x(0, 0), x(0, 2)))
+        assert toric._definers([f]) == {}
+        assert toric._vertex([f]) is None
+        cert = is_prime([f])
+        assert not cert.is_prime and cert.steps == ()
+
+    def test_definers_triangular(self):
+        for shape in (frame_shape(), HOLED_NOT_PRIME, *holed_rows(9)[:20]):
+            for c, defined in toric._definers(generators(shape)).items():
+                assert defined
+                for p, m in defined.items():
+                    assert c not in m.vars() and p not in m.vars()
+                    assert not m.vars() & defined.keys()
+
+    def test_image_cancels_only_x_c(self):
+        # x_p -> x(0,1)x(1,0)/x(0,0) in x_p x(2,1) - x(0,1)x(2,2) keeps the common x(0,1)
+        c, p = x(0, 0), x(1, 1)
+        defined = {p: mono(x(0, 1), x(1, 0))}
+        f = Binomial.make(mono(p, x(2, 1)), mono(x(0, 1), x(2, 2)))
+        definer = Binomial.make(mono(c, p), mono(x(0, 1), x(1, 0)))
+        assert toric._image([definer, f], c, defined) == [
+            Binomial.make(mono(x(0, 1), x(1, 0), x(2, 1)), mono(c, x(0, 1), x(2, 2)))
+        ]
+
+    def test_zerodivisor_vertex_falls_back(self):
+        cert = is_prime(generators(HOLED_NOT_PRIME))
+        c, _ = toric._vertex(generators(HOLED_NOT_PRIME))
+        assert not toric.is_nonzerodivisor(generators(HOLED_NOT_PRIME), c)
+        assert cert == saturation_route(generators(HOLED_NOT_PRIME))
+
+    def test_degree_cap_falls_back(self, frame, monkeypatch):
+        gens = generators(frame)
+
+        def capped(*args, **kwargs):
+            raise DegreeCapExceeded(gens[0], 1)
+
+        monkeypatch.setattr(toric, "is_nonzerodivisor", capped)
+        assert toric._localization_steps(list(gens), degree_cap=20, deadline=None) is None
+        cert = is_prime(gens)
+        assert cert.is_prime and cert.steps == ()
+
+    def test_budget_propagates(self, frame):
+        expired = Deadline(at=time.monotonic() - 1)
+        with pytest.raises(BudgetExceeded):
+            toric._localization_steps(list(generators(frame)), degree_cap=20, deadline=expired)
+
+
+class TestStepsAgainstSaturation:
+    """is_prime against the saturation route alone: equal certificates and ranks."""
+
+    def test_small_polyominoes(self):
+        shapes = [shape for n in range(1, 7) for shape in enumerate_polyominoes(n)]
+        assert assert_routes_agree(shapes) > 0
+
+    def test_family(self):
+        ambients = [complement(b, inner) for b, inner in localization_family()]
+        assert len(ambients) == 20
+        assert assert_routes_agree(ambients) == 20
+
+    def test_collections_in_3x3_box(self):
+        collections = box_collections(3, 3)
+        assert len(collections) == 511
+        assert_routes_agree(collections)
+
+    def test_non_prime_holed_9_cell_rows(self):
+        rows = [s for s in holed_rows(9) if not is_prime(generators(s)).is_prime]
+        assert len(rows) == 12
+        assert assert_routes_agree(rows) == 0
+
+    @pytest.mark.slow
+    def test_holed_10_cell_rows(self):
+        rows = holed_rows(10)
+        assert len(rows) == 1516
+        assert assert_routes_agree(rows) > 0
+
+    @pytest.mark.slow
+    def test_collections_in_4x3_box(self):
+        collections = box_collections(4, 3)
+        assert len(collections) == 4095
+        assert_routes_agree(collections)
