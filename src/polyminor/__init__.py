@@ -52,7 +52,6 @@ from .toric import (
     is_nonzerodivisor,
     is_prime,
     is_saturated_lattice,
-    revlex_basis,
     saturate,
     toric_ideal_of_map,
 )

@@ -66,7 +66,8 @@ def aux_var(label: str, index: int) -> Var:
 
 
 class Monomial:
-    """Immutable power product.
+    """Immutable power product, a value: the arithmetic on monomials is on
+    groebner's packed exponent vectors (_Vectors), not here.
 
     Exponents are stored as a tuple of (Var, exponent) pairs sorted by
     descending variable, which makes the stored tuple directly usable as
@@ -119,55 +120,8 @@ class Monomial:
     def degree(self) -> int:
         return sum(e for _, e in self.exps)
 
-    def is_one(self) -> bool:
-        return not self.exps
-
     def vars(self) -> tuple[Var, ...]:
         return tuple(v for v, _ in self.exps)
-
-    def exponent(self, v: Var) -> int:
-        for w, e in self.exps:
-            if w == v:
-                return e
-        return 0
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.exps + other.exps)
-
-    def divides(self, other: "Monomial") -> bool:
-        it = iter(other.exps)
-        for v, e in self.exps:
-            for w, f in it:
-                if w == v:
-                    if f < e:
-                        return False
-                    break
-                if w < v:  # descending order: v cannot appear later
-                    return False
-            else:
-                return False
-        return True
-
-    def div(self, other: "Monomial") -> "Monomial":
-        """Exact division; raises when other does not divide self."""
-        quotient = dict(self.exps)
-        for v, e in other.exps:
-            have = quotient.get(v, 0)
-            if have < e:
-                raise ValueError(f"{other} does not divide {self}")
-            quotient[v] = have - e
-        return Monomial(quotient.items())
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        theirs = dict(other.exps)
-        return Monomial((v, min(e, theirs[v])) for v, e in self.exps if v in theirs)
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        merged = dict(self.exps)
-        for v, e in other.exps:
-            if merged.get(v, 0) < e:
-                merged[v] = e
-        return Monomial(merged.items())
 
     def __repr__(self) -> str:
         if not self.exps:

@@ -308,7 +308,10 @@ class _Search:
 
     assign and undo are the only ways the assignment changes, so one state
     serves the whole search and a branch is left by undoing to its mark.
-    Every labeling fits in two vertices per variable, so that is the cap.
+    A candidate edge uses assigned vertices and at most the two next fresh
+    ones, so each assignment raises fresh by two at most and fresh stays
+    at most twice the length of the trail: every branch has finitely many
+    candidates.
     """
 
     def __init__(
@@ -323,7 +326,6 @@ class _Search:
             v: tuple(c for c in self.constraints if v in c.slots)
             for v in self.variables
         }
-        self.vertex_cap = 2 * len(self.variables)
         self.classes = quadric_classes(self.gens)
         self.deadline = deadline
         self.degree_cap = degree_cap
@@ -445,7 +447,7 @@ class _Search:
                 return [oe]
             if len(need) == 1:
                 d = need[0]
-                hi = min(self.fresh[-1] + 1, self.vertex_cap)
+                hi = self.fresh[-1] + 1
                 return [_mkedge(d, z) for z in range(hi) if z != d]
         return None
 
@@ -473,13 +475,13 @@ class _Search:
                     break
             if pick is None:
                 pick = unassigned[0]
-            hi = min(self.fresh[-1] + 2, self.vertex_cap)
+            hi = self.fresh[-1] + 2
             domain = [
                 _mkedge(u, w) for u in range(hi) for w in range(u + 1, hi)
             ]
             best = (len(domain), pick, domain)
         _, v, domain = best
-        # every candidate endpoint is an assigned one or below the cap
+        # every candidate endpoint is an assigned vertex or a next fresh one
         return v, [e for e in domain if e not in self.used and self._viable(v, e)]
 
     # ---- full labeling verification ----------------------------------
@@ -634,11 +636,13 @@ def search_labeling(
     other three.  The constraints and the kernel test do not see vertex
     names, so a labeling extends one matching exactly when its renamed
     image extends another, and one exhaustive case decides all four.
-    Fresh vertices enter one representative at a time, below a cap of
-    twice the number of lattice points.  The cap is a constant, not a
-    parameter: a labeling has one edge per point, so up to renaming its
-    vertices all lie below the cap, and an exhausted search is therefore
-    a proof of non-representability.  Each complete labeling is verified
+    Fresh vertices enter one representative at a time: up to renaming,
+    new endpoints are the next vertices above every assigned edge, so a
+    candidate edge takes its endpoints from the assigned ones and the
+    next two.  Each assignment thus raises that bound by two at most,
+    every branch has finitely many candidates, the depth is at most the
+    number of lattice points, and an exhausted search is therefore a
+    proof of non-representability.  Each complete labeling is verified
     with no LEX basis on the common paths: its kernel quadrics are tested
     by the minors' quadric classes, and it is accepted when the ideal is
     prime with a lattice of rank E - V + b.  Only a labeling that count

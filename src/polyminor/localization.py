@@ -121,9 +121,10 @@ def nonzerodivisor_check(
 
     It is exactly when it divides no initial term of the reduced graded
     reverse-lex basis that has the corner variable last, since the ideal
-    is homogeneous (toric.is_nonzerodivisor).  The corner defaults to the
-    upper-left corner of the collection's bounding box; gens, when given,
-    are the collection's generators.
+    is homogeneous; toric.is_nonzerodivisor reads that off the packed
+    leads, one lane test.  The corner defaults to the upper-left corner
+    of the collection's bounding box; gens, when given, are the
+    collection's generators.
     """
     if corner is None:
         box = ambient.bounding_interval()

@@ -51,7 +51,6 @@ from .groebner import (
     DEFAULT_DEGREE_CAP,
     Deadline,
     DegreeCapExceeded,
-    GroebnerBasis,
     _autoreduce,
     _complete,
     _lead_count,
@@ -65,7 +64,6 @@ __all__ = [
     "PrimalityCertificate",
     "MonomialMap",
     "is_saturated_lattice",
-    "revlex_basis",
     "is_nonzerodivisor",
     "saturate",
     "is_prime",
@@ -224,26 +222,28 @@ def _check_homogeneous(gens: Sequence[Binomial]) -> None:
             raise ValueError(f"{g!r} is not homogeneous")
 
 
-def revlex_basis(
-    gens: Iterable[Binomial],
+def _revlex(
+    pairs: Iterable[tuple[Iterable[tuple[Var, int]], Iterable[tuple[Var, int]]]],
+    variables: Iterable[Var],
     last: Sequence[Var],
-    *,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-    deadline: Deadline | None = None,
-) -> GroebnerBasis:
-    """Reduced basis under the graded reverse-lex order that ends with `last`.
+    degree_cap: int,
+    deadline: Deadline,
+    target: dict[int, int | None] | None = None,
+) -> tuple[_Vectors, int]:
+    """The reduced revlex basis that ends with last, and the OR of its lead masks.
 
-    The other variables of the generators come first, in descending
-    order, then `last` in its own order, so its final entry is the
-    smallest variable.  The generators must be homogeneous, which every
-    inner-minor ideal is: only then does the basis decide whether that
-    variable is a nonzerodivisor.
+    The pairs are the generators' sides as (variable, exponent) pairs.
+    The other variables come first, descending, then last, whose final
+    entry is the smallest variable.  A variable of last in no pair still
+    has a lane in the order's layout, and leads in no basis.
     """
-    gens = list(gens)
-    _check_homogeneous(gens)
-    head = sorted({v for g in gens for v in g.vars()} - set(last), reverse=True)
-    order = GradedRevlex(head + list(last))
-    return buchberger(gens, order, degree_cap=degree_cap, deadline=deadline)
+    variables = set(variables)
+    order = GradedRevlex(sorted(variables - set(last), reverse=True) + list(last))
+    vectors = _Vectors(order, variables)
+    vectors.load((vectors.encode(a), vectors.encode(b)) for a, b in pairs)
+    _complete(vectors, degree_cap, deadline, target)
+    basis = _autoreduce(vectors, order, deadline)
+    return basis, reduce(or_, basis.masks, 0)
 
 
 def is_nonzerodivisor(
@@ -256,10 +256,16 @@ def is_nonzerodivisor(
     """Whether the variable is a nonzerodivisor modulo the generated ideal.
 
     It is exactly when it divides no leading term of the reduced revlex
-    basis that ends with it; the generators must be homogeneous.
+    basis that ends with it, that is, when its lane meets no lead's mask;
+    the generators must be homogeneous.
     """
-    basis = revlex_basis(gens, (variable,), degree_cap=degree_cap, deadline=deadline)
-    return all(g.plus.exponent(variable) == 0 for g in basis)
+    gens = list(gens)
+    _check_homogeneous(gens)
+    deadline = deadline or Deadline.unlimited()
+    pairs = ((g.plus.exps, g.minus.exps) for g in gens)
+    variables = {v for g in gens for v in g.vars()}
+    basis, leading = _revlex(pairs, variables, (variable,), degree_cap, deadline)
+    return not leading & basis.lane_bits(variable)
 
 
 def _saturation(
@@ -290,15 +296,8 @@ def _saturation(
     target: dict[int, int | None] | None = None
     equal = True
     while pending:
-        order = GradedRevlex(sorted(set(variables) - set(pending), reverse=True) + pending)
-        vectors = _Vectors(order, variables)
-        relaid = vectors.encode
-        vectors.load(
-            (relaid(source.exponents(a)), relaid(source.exponents(b))) for a, b in current
-        )
-        _complete(vectors, degree_cap, deadline, target)
-        basis = _autoreduce(vectors, order, deadline)
-        leading = reduce(or_, basis.masks)
+        pairs = ((source.exponents(a), source.exponents(b)) for a, b in current)
+        basis, leading = _revlex(pairs, variables, pending, degree_cap, deadline, target)
         lane = basis.lane_bits(pending.pop())  # v's
         if leading & lane:
             equal, target, source = False, None, basis

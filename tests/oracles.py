@@ -57,7 +57,6 @@ from polyminor.toric import (
     _smith,
     _vector_binomial,
     is_saturated_lattice,
-    revlex_basis,
 )
 
 
@@ -369,6 +368,46 @@ def localization_family() -> list[tuple[Interval, CellCollection]]:
     return instances
 
 
+# Monomial arithmetic as Monomial's own sparse methods did it before all of
+# it moved onto groebner's packed lanes: one dict of exponents per call.
+
+
+def exponent(m: Monomial, v: Var) -> int:
+    return dict(m.exps).get(v, 0)
+
+
+def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    return Monomial(a.exps + b.exps)
+
+
+def mono_divides(a: Monomial, b: Monomial) -> bool:
+    """Whether a divides b."""
+    have = dict(b.exps)
+    return all(have.get(v, 0) >= e for v, e in a.exps)
+
+
+def mono_div(a: Monomial, b: Monomial) -> Monomial:
+    """Exact quotient a / b; raises when b does not divide a."""
+    if not mono_divides(b, a):
+        raise ValueError(f"{b} does not divide {a}")
+    quotient = dict(a.exps)
+    for v, e in b.exps:
+        quotient[v] -= e
+    return Monomial(quotient.items())
+
+
+def mono_gcd(a: Monomial, b: Monomial) -> Monomial:
+    theirs = dict(b.exps)
+    return Monomial((v, min(e, theirs[v])) for v, e in a.exps if v in theirs)
+
+
+def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
+    merged = dict(a.exps)
+    for v, e in b.exps:
+        merged[v] = max(merged.get(v, 0), e)
+    return Monomial(merged.items())
+
+
 # The localization core as localization._core_binomial computed it before
 # it read each core off an exponent vector: substitute and rename each
 # side, cancel the gcd, and reattach the residual power of x_c.
@@ -410,14 +449,14 @@ def _core_binomial(
     """
     plus, cp = _transform_side(gen.plus, substitution, cvar, rename)
     minus, cm = _transform_side(gen.minus, substitution, cvar, rename)
-    shared = plus.gcd(minus)
-    plus, minus = plus.div(shared), minus.div(shared)
+    shared = mono_gcd(plus, minus)
+    plus, minus = mono_div(plus, shared), mono_div(minus, shared)
     floor = min(cp, cm)
     cp, cm = cp - floor, cm - floor
     if cp:
-        plus = plus.mul(Monomial(((cvar, cp),)))
+        plus = mono_mul(plus, Monomial(((cvar, cp),)))
     if cm:
-        minus = minus.mul(Monomial(((cvar, cm),)))
+        minus = mono_mul(minus, Monomial(((cvar, cm),)))
     return Binomial.make(plus, minus)
 
 
@@ -463,6 +502,28 @@ def differential_shapes() -> tuple[CellCollection, ...]:
     )
 
 
+def revlex_basis(
+    gens: Iterable[Binomial], last: Sequence[Var], *, degree_cap: int = DEFAULT_DEGREE_CAP
+) -> GroebnerBasis:
+    """The reduced basis under the graded revlex order that ends with last, by buchberger.
+
+    The other variables of the generators come first, in descending
+    order, then last in its own order.  The generators must be
+    homogeneous.
+    """
+    gens = list(gens)
+    for g in gens:
+        if g.plus.degree != g.minus.degree:
+            raise ValueError(f"{g!r} is not homogeneous")
+    head = sorted({v for g in gens for v in g.vars()} - set(last), reverse=True)
+    return buchberger(gens, GradedRevlex(head + list(last)), degree_cap=degree_cap)
+
+
+def leads_nonzerodivisor(gens: Iterable[Binomial], v: Var) -> bool:
+    """toric.is_nonzerodivisor through Binomials: v is in no lead of revlex_basis."""
+    return all(exponent(g.plus, v) == 0 for g in revlex_basis(gens, (v,)))
+
+
 def revlex_saturation(
     gens: list[Binomial], *, degree_cap: int = DEFAULT_DEGREE_CAP
 ) -> tuple[list[Binomial], bool]:
@@ -485,8 +546,8 @@ def revlex_saturation(
             equal = False
             current = []
             for g in basis:
-                power = Monomial(((v, g.plus.exponent(v)),))
-                current.append(Binomial(g.plus.div(power), g.minus.div(power)))
+                power = Monomial(((v, exponent(g.plus, v)),))
+                current.append(Binomial(mono_div(g.plus, power), mono_div(g.minus, power)))
         pending = [w for w in pending if w in leading]
     return current, equal
 
@@ -664,9 +725,9 @@ def sparse_s_pair(f: Binomial, g: Binomial, order: MonomialOrder = LEX) -> Binom
     """S-polynomial of two oriented binomials, or None when it vanishes."""
     f = oriented(f, order)
     g = oriented(g, order)
-    lcm = f.plus.lcm(g.plus)
-    left = lcm.div(g.plus).mul(g.minus)
-    right = lcm.div(f.plus).mul(f.minus)
+    lcm = mono_lcm(f.plus, g.plus)
+    left = mono_mul(mono_div(lcm, g.plus), g.minus)
+    right = mono_mul(mono_div(lcm, f.plus), f.minus)
     return None if left == right else oriented(Binomial(left, right), order)
 
 
@@ -683,13 +744,13 @@ def sparse_reduce(
     a, b = f.plus, f.minus
     while True:
         for g in basis:
-            if g.plus.divides(a):
-                a = a.div(g.plus).mul(g.minus)
+            if mono_divides(g.plus, a):
+                a = mono_mul(mono_div(a, g.plus), g.minus)
                 break
         else:
             for g in basis:
-                if g.plus.divides(b):
-                    b = b.div(g.plus).mul(g.minus)
+                if mono_divides(g.plus, b):
+                    b = mono_mul(mono_div(b, g.plus), g.minus)
                     break
             else:
                 return Binomial(a, b)
@@ -763,7 +824,7 @@ def sparse_buchberger(
         for i in range(j):
             if g_vars.isdisjoint(lead_vars[i]):
                 continue
-            lcm = basis[i].plus.lcm(g.plus)
+            lcm = mono_lcm(basis[i].plus, g.plus)
             key = (lcm.degree, order_key(order, lcm), sort_keys[i], g_key)
             heapq.heappush(pairs, (key, i, j))
 

@@ -23,7 +23,13 @@ from polyminor.groebner import _Vectors
 from oracles import (
     comb_collection,
     differential_shapes,
+    exponent,
     frame_shape,
+    mono_div,
+    mono_divides,
+    mono_gcd,
+    mono_lcm,
+    mono_mul,
     naive_inner_minor,
     order_cmp,
     oriented,
@@ -80,33 +86,62 @@ class TestVarOrder:
         assert repr(aux_var("t", 3)) == "t3"
 
 
+def packed(*monomials):
+    """One LEX layout of groebner's vectors over the monomials, and each one's vector."""
+    vectors = _Vectors(LEX, {v for m in monomials for v in m.vars()})
+    return vectors, [vectors.encode(m.exps) for m in monomials]
+
+
+def unpacked(vectors, x):
+    return Monomial(vectors.exponents(x))
+
+
+def stepped(a, b):
+    """a / b by _Vectors.step with the one element b - 1; None when b does not divide a."""
+    vectors, (pa, pb) = packed(a, b)
+    vectors.append(pb, 0)
+    q = vectors.step(pa)
+    return None if q is None else unpacked(vectors, q)
+
+
 class TestMonomial:
+    """Monomials are values; the packed lanes do the arithmetic the oracle's
+    sparse helpers do on dicts."""
+
     def test_one(self):
-        assert ONE.is_one()
+        assert ONE.exps == () and not ONE.vars()
         assert ONE.degree == 0
         assert repr(ONE) == "1"
 
     def test_mul_merges_exponents(self):
-        m = mono(x(0, 0)).mul(mono(x(0, 0), x(1, 1)))
-        assert m.exponent(x(0, 0)) == 2
+        a, b = mono(x(0, 0)), mono(x(0, 0), x(1, 1))
+        m = mono_mul(a, b)
+        assert exponent(m, x(0, 0)) == 2
         assert m.degree == 3
+        vectors, (pa, pb) = packed(a, b)
+        assert unpacked(vectors, pa + pb) == m
 
     def test_divides_and_div(self):
         big = mono(x(0, 0), x(0, 0), x(1, 1))
         small = mono(x(0, 0), x(1, 1))
-        assert small.divides(big)
-        assert not big.divides(small)
-        assert big.div(small) == mono(x(0, 0))
+        assert mono_divides(small, big)
+        assert not mono_divides(big, small)
+        assert mono_div(big, small) == mono(x(0, 0))
+        assert stepped(big, small) == mono(x(0, 0))
+        assert stepped(small, big) is None
 
     def test_div_requires_divisibility(self):
         with pytest.raises(ValueError):
-            mono(x(0, 0)).div(mono(x(1, 1)))
+            mono_div(mono(x(0, 0)), mono(x(1, 1)))
+        assert stepped(mono(x(0, 0)), mono(x(1, 1))) is None
 
     def test_gcd_lcm(self):
         a = mono(x(0, 0), x(0, 0), x(1, 0))
         b = mono(x(0, 0), x(0, 1))
-        assert a.gcd(b) == mono(x(0, 0))
-        assert a.lcm(b) == mono(x(0, 0), x(0, 0), x(1, 0), x(0, 1))
+        assert mono_gcd(a, b) == mono(x(0, 0))
+        assert mono_lcm(a, b) == mono(x(0, 0), x(0, 0), x(1, 0), x(0, 1))
+        vectors, (pa, pb) = packed(a, b)
+        assert unpacked(vectors, vectors.lcm(pa, pb)) == mono_lcm(a, b)
 
     def test_repr_sorted_descending(self):
         assert repr(mono(x(0, 0), x(1, 1))) == "x(1,1)*x(0,0)"
@@ -122,12 +157,20 @@ class TestMonomial:
     @given(monomial_strategy(), monomial_strategy())
     @settings(max_examples=100)
     def test_gcd_lcm_product_identity(self, a, b):
-        assert a.gcd(b).mul(a.lcm(b)) == a.mul(b)
+        assert mono_mul(mono_gcd(a, b), mono_lcm(a, b)) == mono_mul(a, b)
+        vectors, (pa, pb) = packed(a, b)
+        lcm = vectors.lcm(pa, pb)
+        assert unpacked(vectors, lcm) == mono_lcm(a, b)
+        assert unpacked(vectors, pa + pb - lcm) == mono_gcd(a, b)
 
     @given(monomial_strategy(), monomial_strategy())
     @settings(max_examples=100)
     def test_div_undoes_mul(self, a, b):
-        assert a.mul(b).div(b) == a
+        assert mono_div(mono_mul(a, b), b) == a
+        vectors, (pa, pb) = packed(a, b)
+        assert unpacked(vectors, pa + pb) == mono_mul(a, b)
+        if b.exps:  # step finds no divisor in a lead of degree 0
+            assert stepped(mono_mul(a, b), b) == a
 
     @given(monomial_strategy(), monomial_strategy())
     @settings(max_examples=100)
@@ -135,7 +178,7 @@ class TestMonomial:
         # multiplying both sides by the same monomial keeps the comparison
         c = packed_cmp(LEX, a, b)
         m = mono(x(2, 2), x(0, 1))
-        assert packed_cmp(LEX, a.mul(m), b.mul(m)) == c
+        assert packed_cmp(LEX, mono_mul(a, m), mono_mul(b, m)) == c
 
 
 class TestLexOrder:
@@ -175,7 +218,7 @@ class TestGradedRevlex:
         order = GradedRevlex(x(i, j) for i in range(6) for j in range(6))
         c = packed_cmp(order, a, b)
         m = mono(x(2, 2), x(0, 1))
-        assert packed_cmp(order, a.mul(m), b.mul(m)) == c
+        assert packed_cmp(order, mono_mul(a, m), mono_mul(b, m)) == c
         assert (c == 0) == (a == b)
 
 
@@ -218,11 +261,11 @@ class TestByteOrdersAgainstSparseKeys:
 
         def pair():
             a = monomial()
-            if a.is_one() or rng.random() < 0.5:
+            if not a.exps or rng.random() < 0.5:
                 return a, monomial()
             # one unit of a moved to another variable: the two variables decide
             v, w = rng.choice(a.vars()), rng.choice(self.VARIABLES)
-            return a, a.div(Monomial(((v, 1),))).mul(Monomial(((w, 1),)))
+            return a, mono_mul(mono_div(a, Monomial(((v, 1),))), Monomial(((w, 1),)))
 
         return [pair() for _ in range(400)]
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from collections import Counter
 
@@ -6,7 +7,14 @@ import pytest
 
 from polyminor import graphrep, toric
 from polyminor.binomials import Binomial, generators, inner_minor, point_var
-from polyminor.geometry import CellCollection, Interval, Point, Polyomino, complement
+from polyminor.geometry import (
+    CellCollection,
+    Interval,
+    Point,
+    Polyomino,
+    complement,
+    is_simple,
+)
 from polyminor.graphrep import (
     GraphLabeling,
     _Search,
@@ -376,6 +384,33 @@ class TestBookkeeping:
         verdict = search_labeling(ring(n))
         assert not verdict.representable
         assert trace_digest(verdict) == digest
+
+
+class TestFreshBound:
+    @pytest.mark.slow
+    def test_fresh_at_most_twice_the_trail(self, monkeypatch):
+        # no cap bounds the candidate vertices: this bound keeps every
+        # branch finite, on connected and disconnected collections alike
+        box = [(i, j) for i in range(3) for j in range(3)]
+        shapes = [
+            *(shape for n in range(1, 7) for shape in enumerate_polyominoes(n)),
+            *(complement(bounding, inner) for bounding, inner in localization_family()),
+            *(shape for shape in enumerate_polyominoes(9) if not is_simple(shape)),
+            *(CellCollection(c) for k in range(1, 6) for c in itertools.combinations(box, k)),
+        ]
+        assert len(shapes) == 980
+        tight = []
+        assign = _Search.assign
+
+        def checked(self, v, e):
+            assign(self, v, e)
+            assert self.fresh[-1] <= 2 * len(self.trail), (self.trail, e)
+            tight.append(self.fresh[-1] == 2 * len(self.trail))
+
+        monkeypatch.setattr(_Search, "assign", checked)
+        for shape in shapes:
+            search_labeling(shape)
+        assert any(tight)  # by the seed's first edge at least
 
 
 def relations_count(edges):

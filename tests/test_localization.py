@@ -13,7 +13,7 @@ from polyminor.localization import (
 )
 
 import oracles
-from oracles import localization_family, marker_saturate
+from oracles import localization_family, marker_saturate, mono_mul
 
 FRAME_BOUNDING = Interval(Point(0, 0), Point(3, 3))
 FRAME_HOLE = CellCollection([(1, 1)])
@@ -210,8 +210,8 @@ class TestCoreMembership:
                 replaced.append(f)
                 z, w = (Monomial.from_vars([v]) for v in sorted(f.vars())[:2])
                 if inside:
-                    return Binomial.make(f.plus.mul(z), f.minus.mul(z))
-                return Binomial.make(f.plus.mul(z), f.plus.mul(w))
+                    return Binomial.make(mono_mul(f.plus, z), mono_mul(f.minus, z))
+                return Binomial.make(mono_mul(f.plus, z), mono_mul(f.plus, w))
             seen.add(f)
             return f
 

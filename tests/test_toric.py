@@ -48,7 +48,6 @@ from polyminor.toric import (
     _vector_binomial,
     is_prime,
     is_saturated_lattice,
-    revlex_basis,
     saturate,
     toric_ideal_of_map,
 )
@@ -57,9 +56,12 @@ import oracles
 from oracles import (
     REFERENCE_SHAPES,
     elimination_toric_ideal_of_map,
+    exponent,
     frame_shape,
     localization_family,
     marker_primality,
+    mono_mul,
+    revlex_basis,
     revlex_saturation,
     sympy_rank,
     sympy_smith_divisors,
@@ -83,7 +85,7 @@ def divisors_of(rows):
 def exponent_rows(gens):
     """The vectors plus - minus of the generators over their sorted variables."""
     columns = sorted({v for g in gens for v in g.vars()})
-    return [[g.plus.exponent(v) - g.minus.exponent(v) for v in columns] for g in gens]
+    return [[exponent(g.plus, v) - exponent(g.minus, v) for v in columns] for g in gens]
 
 
 def relation_binomials(mapping):
@@ -202,13 +204,13 @@ class TestLatticeSaturation:
     def test_witness_multiple_lies_in_lattice(self):
         # (2, 1, -2, -1) has content 1; doubling every exponent gives torsion 2
         f = Binomial.make(mono(x(0, 0), x(0, 0), x(1, 0)), mono(x(0, 1), x(0, 1), x(1, 1)))
-        g = Binomial(f.plus.mul(f.plus), f.minus.mul(f.minus))
+        g = Binomial(mono_mul(f.plus, f.plus), mono_mul(f.minus, f.minus))
         assert is_saturated_lattice([f]) == (True, None)
         ok, witness = is_saturated_lattice([g])
         assert not ok
         cols = sorted(g.vars())
         w = [
-            witness.binomial.plus.exponent(v) - witness.binomial.minus.exponent(v)
+            exponent(witness.binomial.plus, v) - exponent(witness.binomial.minus, v)
             for v in cols
         ]
         scaled = tuple(witness.divisor * c for c in w)
@@ -278,9 +280,11 @@ class TestRevlexBasis:
         assert not ideal_membership(
             Binomial.make(mono(b), mono(c)), buchberger(gens, LEX)
         )
-        assert any(g.plus.exponent(a) for g in revlex_basis(gens, (a,)))
+        assert any(exponent(g.plus, a) for g in revlex_basis(gens, (a,)))
+        assert not toric.is_nonzerodivisor(gens, a)
         for v in (b, c):
-            assert all(g.plus.exponent(v) == 0 for g in revlex_basis(gens, (v,)))
+            assert all(exponent(g.plus, v) == 0 for g in revlex_basis(gens, (v,)))
+            assert toric.is_nonzerodivisor(gens, v)
 
     def test_last_variable_is_smallest(self, frame):
         v = x(0, 0)
@@ -293,7 +297,7 @@ class TestRevlexBasis:
         gens = generators(CellCollection([(0, 0), (1, 0)]))
         basis, lex = revlex_basis(gens, ()), buchberger(gens, LEX)
         w = mono(x(9, 9))
-        member = Binomial(gens[0].plus.mul(w), gens[0].minus.mul(w))
+        member = Binomial(mono_mul(gens[0].plus, w), mono_mul(gens[0].minus, w))
         outsider = Binomial.make(mono(x(0, 0), x(9, 9)), mono(x(0, 1), x(9, 9)))
         for f, expected in ((member, True), (outsider, False)):
             assert ideal_membership(f, lex) is expected
@@ -304,6 +308,8 @@ class TestRevlexBasis:
         f = Binomial.make(mono(x(1, 0)), mono(x(0, 0), x(0, 0)))
         with pytest.raises(ValueError, match="not homogeneous"):
             revlex_basis([f], (x(0, 0),))
+        with pytest.raises(ValueError, match="not homogeneous"):
+            toric.is_nonzerodivisor([f], x(0, 0))
         with pytest.raises(ValueError, match="not homogeneous"):
             is_prime([f])
         with pytest.raises(ValueError, match="not homogeneous"):
@@ -612,7 +618,7 @@ class TestLatticeStepReference:
         cases = [generators(shape) for shape in lattice_shapes()] + [
             [Binomial.make(mono(c, c), mono(b, b))],
             [f],
-            [Binomial(f.plus.mul(f.plus), f.minus.mul(f.minus))],
+            [Binomial(mono_mul(f.plus, f.plus), mono_mul(f.minus, f.minus))],
             [Binomial.make(mono(a, b), mono(a, c))],
         ]
         assert len(cases) == 91 + 1 + 20 + 4
@@ -833,3 +839,33 @@ class TestStepsAgainstSaturation:
         collections = box_collections(4, 3)
         assert len(collections) == 4095
         assert_routes_agree(collections)
+
+
+class TestNonzerodivisorReference:
+    """is_nonzerodivisor's lane test against the Binomial route through buchberger."""
+
+    @pytest.mark.slow
+    def test_every_vertex(self):
+        shapes = [
+            *(shape for n in range(1, 7) for shape in enumerate_polyominoes(n)),
+            *(complement(bounding, inner) for bounding, inner in localization_family()),
+            *holed_rows(9),
+        ]
+        assert len(holed_rows(9)) == 272
+        queries = zerodivisors = 0
+        for shape in shapes:
+            gens = list(generators(shape))
+            for p in sorted(shape.vertex_set):
+                v = point_var(p)
+                want = oracles.leads_nonzerodivisor(gens, v)
+                assert toric.is_nonzerodivisor(gens, v) == want, (shape, p)
+                queries += 1
+                zerodivisors += not want
+        assert queries == 9573
+        assert zerodivisors > 0
+
+    def test_absent_variable(self):
+        # x(9,9) is in no generator: it still gets a lane, and no lead holds it
+        for gens in ([], list(generators(frame_shape()))):
+            assert toric.is_nonzerodivisor(gens, x(9, 9))
+            assert oracles.leads_nonzerodivisor(gens, x(9, 9))

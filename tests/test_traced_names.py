@@ -3,8 +3,10 @@
 perfbench/tracer.py rebinds every (module, function) pair of its TARGETS
 with getattr, so a removed or renamed function fails every traced run.
 The pairs are read by parsing the file, which is neither imported nor
-edited here.  Likewise every name in a module's __all__ must be defined,
-or a star import of that module fails.
+edited here.  The benchmark's own modules import package names, and a
+removed one fails every benchmark run: those imports are read the same
+way.  Likewise every name in a module's __all__ must be defined, or a
+star import of that module fails.
 """
 
 import ast
@@ -14,7 +16,8 @@ from pathlib import Path
 
 import polyminor
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def traced_targets() -> tuple[tuple[str, str], ...]:
@@ -36,6 +39,23 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(f"polyminor.{module}"), function, None))
     ]
     assert not missing, f"traced by perfbench/tracer.py but not callable: {missing}"
+
+
+def test_every_benchmark_import_resolves():
+    imported = [
+        (path.name, node.module, alias.name)
+        for path in sorted(PERFBENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("polyminor")
+        for alias in node.names
+    ]
+    assert any(module == "polyminor.toric" for _, module, _ in imported)
+    missing = [
+        f"{file}: from {module} import {name}"
+        for file, module, name in imported
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert not missing, f"imported by perfbench but not defined: {missing}"
 
 
 def test_every_module_star_imports():
