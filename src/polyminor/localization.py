@@ -1,14 +1,17 @@
 """Localization argument for the complement of a convex polyomino.
 
 Setting: a bounding interval, a convex polyomino strictly inside it, and
-the ambient complement collection.  Inverting the variable at the
+the ambient complement collection.  Inverting the variable x_c at the
 upper-left corner of the bounding interval collapses the complement's
-ideal onto the ideal of a smaller polyomino: corner variables are
-eliminated by substitution, two border segments get identified with
-segments beside the removed region, and the surviving relations are
-exactly the inner minors of the shrunken polyomino.  The functions here
-construct every ingredient of that argument and check it on concrete
-instances.
+ideal onto the ideal of a smaller polyomino P'.  This is one localization
+step of toric.is_prime's kind: each corner triple's inner minor
+x_c x_p - x_r x_q defines x_p -> x_r x_q / x_c, and the image of the
+generators, with only powers of x_c cleared, is renamed by the
+identification of two border segments with segments beside the removed
+region.  The renaming must be injective on the image's variables, so it
+only changes names; the renamed image must hold every inner minor of P'
+literally and lie in the ideal of P'.  The functions here construct
+every ingredient of that argument and check it on concrete instances.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .binomials import LEX, Binomial, Monomial, Var, generators, point_var
+from .binomials import LEX, Binomial, Monomial, generators, point_var
 from .geometry import (
     Cell,
     CellCollection,
@@ -35,7 +38,7 @@ from .groebner import (
     ideal_membership,
     quadric_classes,
 )
-from .toric import is_nonzerodivisor
+from .toric import _image, is_nonzerodivisor
 
 __all__ = [
     "CornerTriple",
@@ -160,27 +163,6 @@ def _shrink(
     return triples, removed, remaining, ident
 
 
-def _core_binomial(
-    gen: Binomial, image: dict[Var, tuple[tuple[Var, int], ...]]
-) -> Binomial | None:
-    """Localized image of a generator, None when it vanishes.
-
-    image sends a variable to (variable, exponent) pairs, x_c may get -1,
-    and absent variables are fixed.  The core is the positive minus the
-    negative part of image(plus) - image(minus): common factors cancel,
-    and a residual power of x_c stays on one side as a variable power.
-    """
-    vector: dict[Var, int] = {}
-    for side, sign in ((gen.plus, 1), (gen.minus, -1)):
-        for v, e in side.exps:
-            for w, k in image.get(v, ((v, 1),)):
-                vector[w] = vector.get(w, 0) + sign * e * k
-    return Binomial.make(
-        Monomial((v, e) for v, e in vector.items() if e > 0),
-        Monomial((v, -e) for v, e in vector.items() if e < 0),
-    )
-
-
 @dataclass(frozen=True)
 class LocalizationReport:
     """Everything the localization argument produced on one instance."""
@@ -213,12 +195,13 @@ def verify_localization(
 
     Checks, all recorded in the report: the corner variable is a
     nonzerodivisor, the shrunken collection is a simple polyomino, and
-    the localized generators generate exactly the shrunken polyomino's
-    ideal (every localized core lies in it, and every one of its inner
-    minors arises literally as a core).  The inner minors span the
-    quadrics of that ideal, so their quadric classes decide the cores of
-    degree (2, 2); a LEX basis is built only when some core has another
-    degree.
+    the localization step at the corner carries the ideal onto the ideal
+    of P'.  The step's image is toric's, renamed by the identification.
+    The renaming must be injective on the image's variables, every inner
+    minor of P' must be a literal element of the renamed image, and every
+    renamed element f must lie in the ideal of P'.  Only that last test
+    cancels: f = u g with g in the ideal puts f there, and P''s quadric
+    classes place most g, so a LEX basis is built only for the rest.
     """
     violations = localization_hypotheses(bounding, inner)
     if violations:
@@ -245,29 +228,42 @@ def verify_localization(
         "p_prime_simple": bool(remaining_cells) and is_simple(remaining),
     }
 
-    # x_p = x_r' x_q' / x_c for each corner triple, then the renaming
-    image = {point_var(s): ((point_var(d), 1),) for s, d in ident.items()}
-    for t in triples:
-        r, q = (point_var(ident.get(u, u)) for u in (t.r, t.q))
-        image[point_var(t.p)] = ((r, 1), (q, 1), (cvar, -1))
-    cores = [_core_binomial(gen, image) for gen in ambient_gens]
-    live = [f for f in cores if f is not None]
-    shrunk_gens = generators(remaining)
-    classes = quadric_classes(shrunk_gens)
-    quadrics: list[Binomial] = []
-    others: list[Binomial] = []
-    for f in live:
-        (quadrics if f.plus.degree == f.minus.degree == 2 else others).append(f)
-    forward = all(
-        classes.get(f.plus, f.plus) == classes.get(f.minus, f.minus) for f in quadrics
-    )
-    if forward and others:
-        shrunk_basis = buchberger(
-            shrunk_gens, LEX, degree_cap=degree_cap, deadline=deadline
-        )
-        forward = all(ideal_membership(f, shrunk_basis) for f in others)
-    core_set = set(live)
-    checks["ideal_correspondence"] = forward and all(g in core_set for g in shrunk_gens)
+    # one localization step at c: each corner triple's minor x_c x_p - x_r x_q
+    # defines x_p -> x_r x_q / x_c, and the identification renames the image
+    defined = {
+        point_var(t.p): Monomial.from_vars((point_var(t.r), point_var(t.q)))
+        for t in triples
+    }
+    images = _image(ambient_gens, cvar, defined)
+    rename = {point_var(s): point_var(d) for s, d in ident.items()}
+    seen = {v for f in images for v in f.vars()}
+    correspondence = len({rename.get(v, v) for v in seen}) == len(seen)
+    if correspondence:  # the renaming only changes names, so no image vanishes
+        renamed = {
+            Binomial.make(*(
+                Monomial((rename.get(v, v), e) for v, e in side.exps)
+                for side in (f.plus, f.minus)
+            ))
+            for f in images
+        }
+        shrunk_gens = generators(remaining)
+        classes = quadric_classes(shrunk_gens)
+        rest = []
+        for f in renamed:
+            # f = u g with u common to both sides: g in I_{P'} puts f there,
+            # the one direction in which cancelling u is sound
+            vector = dict(f.plus.exps)
+            for v, e in f.minus.exps:
+                vector[v] = vector.get(v, 0) - e
+            plus = Monomial((v, e) for v, e in vector.items() if e > 0)
+            minus = Monomial((v, -e) for v, e in vector.items() if e < 0)
+            if classes.get(plus, plus) != classes.get(minus, minus):
+                rest.append(f)
+        if rest:
+            basis = buchberger(shrunk_gens, LEX, degree_cap=degree_cap, deadline=deadline)
+            rest = [f for f in rest if not ideal_membership(f, basis)]
+        correspondence = set(shrunk_gens) <= renamed and not rest
+    checks["ideal_correspondence"] = correspondence
 
     return LocalizationReport(
         bounding, inner, ambient, (),

@@ -48,6 +48,7 @@ from polyminor.groebner import (
     _Vectors,
     buchberger,
     ideal_membership,
+    quadric_classes,
 )
 from polyminor.localization import localization_hypotheses
 from polyminor.toric import (
@@ -458,6 +459,42 @@ def _core_binomial(
     if cm:
         minus = mono_mul(minus, Monomial(((cvar, cm),)))
     return Binomial.make(plus, minus)
+
+
+def cancelled_correspondence(report) -> bool:
+    """verify_localization's ideal_correspondence as the cancelled-core route had it.
+
+    Every generator of the ambient collection maps to its fully cancelled
+    core; the check held when every core lay in I_{P'} (quadric classes for
+    the (2, 2) cores, a LEX basis for the rest) and every inner minor of
+    P' was a core.  Sound on the paper's instances only: comparing the
+    minors with cancelled cores is where it could accept wrongly.
+    """
+    bounding = report.bounding
+    cvar = point_var(Point(bounding.lower_left.i, bounding.upper_right.j))
+    substitution = {
+        point_var(t.p): (point_var(t.r), point_var(t.q)) for t in report.corner_triples
+    }
+    rename = {point_var(s): point_var(d) for s, d in report.ident.items()}
+    cores = {
+        _core_binomial(naive_inner_minor(iv), substitution, cvar, rename)
+        for iv in naive_inner_intervals(report.ambient)
+    } - {None}
+    remaining = CellCollection(report.ambient.cells - report.removed_cells)
+    shrunk_gens = [naive_inner_minor(iv) for iv in naive_inner_intervals(remaining)]
+    classes = quadric_classes(shrunk_gens)
+    others = []
+    for f in cores:
+        if f.plus.degree == f.minus.degree == 2:
+            if classes.get(f.plus, f.plus) != classes.get(f.minus, f.minus):
+                return False
+        else:
+            others.append(f)
+    if others:
+        basis = buchberger(shrunk_gens, LEX)
+        if not all(ideal_membership(f, basis) for f in others):
+            return False
+    return set(shrunk_gens) <= cores
 
 
 # every polyomino of at most five cells, the localization family and the frame

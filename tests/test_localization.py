@@ -188,7 +188,8 @@ class TestVerifyLocalization:
 
 class TestCoreMembership:
     def test_family_cores_need_no_basis(self, monkeypatch):
-        # every core is a quadric, decided by the minors' quadric classes
+        # each image, its common factor cancelled, has both sides in one quadric
+        # class of P'
         def refuse(*args, **kwargs):
             raise AssertionError("built a LEX basis of P'")
 
@@ -198,36 +199,121 @@ class TestCoreMembership:
 
     @pytest.mark.parametrize("inside", [True, False])
     def test_other_cores_use_the_basis(self, monkeypatch, inside):
-        # the frame's first repeated core, made cubic: f z stays in I_{P'},
-        # and f.plus (z - w) does not, since I_{P'} is prime
-        seen, replaced, bases = set(), [], []
-        core = localization._core_binomial
+        # one extra image of the frame, a cubic with coprime sides, which no
+        # quadric class places; in P' (the L tromino) the one inside is
+        # x32 (x10 x21 - x11 x20) + x11 (x20 x32 - x22 x30), and the one
+        # outside differs from it by x30 -> x31, since I_{P'} has no linear form
+        last = (3, 0) if inside else (3, 1)
+        extra = Binomial.make(
+            Monomial.from_vars(map(point_var, [(1, 0), (2, 1), (3, 2)])),
+            Monomial.from_vars(map(point_var, [(1, 1), (2, 2), last])),
+        )
+        ident = verify_localization(FRAME_BOUNDING, FRAME_HOLE).ident
+        back = {point_var(d): point_var(s) for s, d in ident.items()}
+        bases = []
         build = localization.buchberger
-
-        def cubic(*args):
-            f = core(*args)
-            if f is not None and f in seen and not replaced:
-                replaced.append(f)
-                z, w = (Monomial.from_vars([v]) for v in sorted(f.vars())[:2])
-                if inside:
-                    return Binomial.make(mono_mul(f.plus, z), mono_mul(f.minus, z))
-                return Binomial.make(mono_mul(f.plus, z), mono_mul(f.plus, w))
-            seen.add(f)
-            return f
-
-        monkeypatch.setattr(localization, "_core_binomial", cubic)
+        monkeypatch.setattr(
+            localization, "_image", lambda *a: toric._image(*a) + [_renamed(extra, back)]
+        )
         monkeypatch.setattr(
             localization, "buchberger", lambda *a, **k: bases.append(a) or build(*a, **k)
         )
         report = verify_localization(FRAME_BOUNDING, FRAME_HOLE)
-        assert replaced and len(bases) == 1
+        assert len(bases) == 1
         assert report.checks["ideal_correspondence"] == inside
 
 
-class TestCoreDifferential:
-    """Each core against the substitute-then-cancel route it replaced."""
+def _renamed(f: Binomial, names: dict) -> Binomial:
+    return Binomial.make(*(
+        Monomial((names.get(v, v), e) for v, e in side.exps) for side in (f.plus, f.minus)
+    ))
 
-    def test_cores_equal_reference(self, monkeypatch):
+
+def _step_args(report) -> tuple:
+    """The corner variable and the corner triples' definers x_p -> x_r x_q."""
+    box = report.bounding
+    c = point_var(Point(box.lower_left.i, box.upper_right.j))
+    return c, {
+        point_var(t.p): Monomial.from_vars((point_var(t.r), point_var(t.q)))
+        for t in report.corner_triples
+    }
+
+
+TAMPERED = [
+    (FRAME_BOUNDING, FRAME_HOLE),
+    (BIG_BOUNDING, CellCollection([(1, 1)])),
+]
+
+
+@pytest.mark.parametrize("bounding, inner", TAMPERED, ids=["frame", "4x4-minus-1.1"])
+class TestTamperedStep:
+    """Each tampering with the localization step fails ideal_correspondence."""
+
+    def test_untampered_passes(self, bounding, inner):
+        assert verify_localization(bounding, inner).checks["ideal_correspondence"]
+
+    def test_image_times_a_variable(self, monkeypatch, bounding, inner):
+        # a minor of P' that is now an image only after cancelling z: the
+        # cancelled-core route accepted exactly this
+        report = verify_localization(bounding, inner)
+        minors = set(generators(report.p_prime))
+        rename = {point_var(s): point_var(d) for s, d in report.ident.items()}
+        tampered = []
+
+        def image(*args):
+            images = toric._image(*args)
+            i = next(i for i, f in enumerate(images) if _renamed(f, rename) in minors)
+            f = images[i]
+            z = Monomial.from_vars([sorted(f.vars())[0]])
+            images[i] = Binomial.make(mono_mul(f.plus, z), mono_mul(f.minus, z))
+            tampered.append(f)
+            return images
+
+        monkeypatch.setattr(localization, "_image", image)
+        report = verify_localization(bounding, inner)
+        assert tampered and not report.checks["ideal_correspondence"]
+
+    def test_identification_merges_two_variables(self, monkeypatch, bounding, inner):
+        # an extra image: a copy of one whose renaming is a minor of P', with
+        # one variable v moved to a fresh point y that the identification
+        # sends to v's point; the renamed image keeps every minor and stays
+        # in I_{P'}, so only the renaming's injectivity rejects it
+        report = verify_localization(bounding, inner)
+        rename = {point_var(s): point_var(d) for s, d in report.ident.items()}
+        minors = set(generators(report.p_prime))
+        step = localization._image
+        images = step(generators(report.ambient), *_step_args(report))
+        f = next(f for f in images if _renamed(f, rename) in minors)
+        v, y = sorted(f.vars())[0], Point(-1, -1)
+        copy = _renamed(f, {v: point_var(y)})
+        shrink = localization._shrink
+
+        def merged(*args):
+            triples, removed, remaining, ident = shrink(*args)
+            return triples, removed, remaining, {**ident, y: ident.get(v.point, v.point)}
+
+        monkeypatch.setattr(localization, "_shrink", merged)
+        monkeypatch.setattr(localization, "_image", lambda *a: step(*a) + [copy])
+        report = verify_localization(bounding, inner)
+        assert not report.checks["ideal_correspondence"]
+
+    def test_definer_dropped(self, monkeypatch, bounding, inner):
+        dropped = []
+
+        def image(gens, c, defined):
+            p = next(iter(defined))
+            dropped.append(p)
+            return toric._image(gens, c, {v: m for v, m in defined.items() if v != p})
+
+        monkeypatch.setattr(localization, "_image", image)
+        report = verify_localization(bounding, inner)
+        assert dropped and not report.checks["ideal_correspondence"]
+
+
+class TestCoreDifferential:
+    """The localization step against the substitute-then-cancel route it replaced."""
+
+    def test_correspondence_equals_reference(self, monkeypatch):
         # the family, then 6x6 boxes minus every interior rectangle
         box = Interval(Point(0, 0), Point(6, 6))
         spans = [(a, b) for a in range(1, 5) for b in range(a + 1, 6)]
@@ -237,27 +323,20 @@ class TestCoreDifferential:
             for rows in spans
         ]
         assert len(instances) == 120
-        # the nonzerodivisor check reads no core, so it is skipped here
-        calls = []
-        core = localization._core_binomial
-
-        def record(gen, image):
-            calls.append((gen, core(gen, image)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(localization, "_core_binomial", record)
+        # the nonzerodivisor check reads no image, so it is skipped here
+        steps = []
+        monkeypatch.setattr(
+            localization, "_image", lambda *a: steps.append(a) or toric._image(*a)
+        )
         monkeypatch.setattr(localization, "nonzerodivisor_check", lambda *a, **k: True)
         for bounding, inner in instances:
-            calls.clear()
+            steps.clear()
             report = verify_localization(bounding, inner)
             assert report.all_checks_pass
-            cvar = point_var(Point(bounding.lower_left.i, bounding.upper_right.j))
-            substitution = {
-                point_var(t.p): (point_var(t.r), point_var(t.q))
-                for t in report.corner_triples
-            }
-            rename = {point_var(s): point_var(d) for s, d in report.ident.items()}
-            assert [gen for gen, _ in calls] == list(generators(report.ambient))
-            for gen, got in calls:
-                want = oracles._core_binomial(gen, substitution, cvar, rename)
-                assert got == want, (bounding, inner, gen)
+            want = oracles.cancelled_correspondence(report)
+            assert report.checks["ideal_correspondence"] == want, (bounding, inner)
+            # the corner triples' definers are toric's definers at c
+            (gens, c, defined), = steps
+            assert c == point_var(Point(bounding.lower_left.i, bounding.upper_right.j))
+            assert gens == generators(report.ambient)
+            assert defined == toric._definers(gens)[c], (bounding, inner)
